@@ -12,6 +12,7 @@ signals its verdict through the exit code:
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 
 import click
@@ -34,7 +35,7 @@ from .ontic import (
     uniform,
 )
 from .ontic import feasibility as solve_feasibility
-from .quantum import EPS_NORM, EPS_PROB, born_distribution
+from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO, born_distribution
 from .report import ReportDocument, verdict_summary
 from .scenarios import (
     PREPARATIONS,
@@ -194,7 +195,9 @@ def _scenario_instance(scenario: str, mu0, mu1):
 def feasibility_cmd(ctx, scenario, lambda_size, q, seed):
     """Can an epistemic model with the given overlap reproduce the quantum statistics?
 
-    Exits 0 when feasible, 3 when infeasible.
+    Exits 0 when feasible, 3 when infeasible.  For ``--scenario pbr`` the
+    document also says whether the LP verdict agrees with the analytic
+    predicate (``agreement``); it exits 3 when they disagree.
     """
     if not 1 <= lambda_size <= 8:
         raise click.UsageError(f"--lambda-size must lie in [1, 8], got {lambda_size}")
@@ -217,7 +220,9 @@ def feasibility_cmd(ctx, scenario, lambda_size, q, seed):
         "mu1": mu1.mass.tolist(),
     }
     if scenario == "pbr":
-        extras["contradiction_predicted"] = pbr_contradiction(mu0, mu1, ZERO_PAIRING)
+        predicted = pbr_contradiction(mu0, mu1, ZERO_PAIRING)
+        extras["contradiction_predicted"] = predicted
+        extras["agreement"] = verdict.feasible != predicted
     target_table = ProbabilityTable(
         tuple(labels), XI_LABELS, np.array(targets), ctx.obj["tolerance"], title="target statistics"
     )
@@ -229,7 +234,7 @@ def feasibility_cmd(ctx, scenario, lambda_size, q, seed):
         extras=extras,
     )
     _emit(ctx, doc)
-    if not verdict.feasible:
+    if not (verdict.feasible and extras.get("agreement", True)):
         ctx.exit(EXIT_CHECK_FAILED)
 
 
@@ -241,7 +246,9 @@ def feasibility_cmd(ctx, scenario, lambda_size, q, seed):
 def montecarlo_cmd(ctx, samples, seed, model):
     """Sample a model and compare empirical frequencies with the targets.
 
-    Exits 0 iff every deviation stays within the 3-sigma binomial bound.
+    Exits 0 iff every deviation stays within z binomial standard deviations,
+    where z gives a correct sampler a 0.27% chance of a miss on any of its m
+    non-degenerate cells together (two-sided, Bonferroni over the m cells).
     """
     if samples < 1:
         raise click.UsageError(f"--samples must be at least 1, got {samples}")
@@ -265,7 +272,9 @@ def montecarlo_cmd(ctx, samples, seed, model):
             for i, (mu_a, mu_b) in enumerate(device_pairs)
         ]
     )
-    bounds = 3.0 * np.sqrt(targets * (1.0 - targets) / samples)
+    cells = int(np.count_nonzero((targets > EPS_ZERO) & (targets < 1.0 - EPS_ZERO)))
+    z = statistics.NormalDist().inv_cdf(1.0 - 0.0027 / (2 * cells))
+    bounds = z * np.sqrt(targets * (1.0 - targets) / samples)
     deviations = np.abs(empirical - targets)
     within = bool(np.all(deviations <= bounds))
     tol = ctx.obj["tolerance"]
@@ -278,7 +287,8 @@ def montecarlo_cmd(ctx, samples, seed, model):
         metadata=_metadata(ctx, seed=seed, samples=samples, model=model),
         extras={
             "max_abs_deviation": float(deviations.max()),
-            "three_sigma_bounds": bounds.tolist(),
+            "z": z,
+            "deviation_bounds": bounds.tolist(),
             "within_bounds": within,
         },
     )

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, PbrCheckError, SpaceError
 from .quantum import EPS_PROB, EPS_ZERO
@@ -257,56 +256,59 @@ class FeasibilityVerdict:
         return "feasible" if self.feasible else "infeasible"
 
 
-def _validate_instance(preparations, targets):
+def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked joints ``(p, n, n)`` and target rows ``(p, k)`` of a checked instance."""
     preps = [np.asarray(j, dtype=np.float64) for j in preparations]
     targs = [np.asarray(t, dtype=np.float64) for t in targets]
     if not preps or len(preps) != len(targs):
         raise SpaceError(f"{len(preps)} preparations for {len(targs)} target rows")
     n = preps[0].shape[0] if preps[0].ndim == 2 else -1
-    for j in preps:
-        if j.ndim != 2 or j.shape != (n, n):
-            raise SpaceError(f"joint distributions must all be ({n}, {n}), got {j.shape}")
-        if np.any(j < -EPS_ZERO) or abs(j.sum() - 1.0) > EPS_PROB:
-            raise DomainError("each joint must be a probability distribution over pairs")
+    wrong = next((j.shape for j in preps if j.shape != (n, n)), None)
+    if wrong is not None:
+        raise SpaceError(f"joint distributions must all be ({n}, {n}), got {wrong}")
+    joints = np.asarray(preps)
+    # The sums are tested first: a sum near 1 means the array is not empty.
+    if np.abs(joints.sum(axis=(1, 2)) - 1.0).max() > EPS_PROB or joints.min() < -EPS_ZERO:
+        raise DomainError("each joint must be a probability distribution over pairs")
     k = targs[0].size
-    for t in targs:
-        if t.ndim != 1 or t.size != k:
-            raise SpaceError("target rows must all have the same outcome count")
-        if np.any(t < -EPS_PROB) or abs(t.sum() - 1.0) > EPS_PROB:
-            raise DomainError("each target row must be a probability distribution")
-    return preps, targs, n, k
+    if any(t.ndim != 1 or t.size != k for t in targs):
+        raise SpaceError("target rows must all have the same outcome count")
+    rows = np.asarray(targs)
+    if np.abs(rows.sum(axis=1) - 1.0).max() > EPS_PROB or rows.min() < -EPS_PROB:
+        raise DomainError("each target row must be a probability distribution")
+    return joints, rows
 
 
-def _assemble_equalities(flats, targs, k):
+def _assemble_equalities(flats, targs):
     """Equality system A x = b over x[outcome, pair] >= 0 for the joint columns ``flats``.
 
     The first ``pairs`` rows are the pointwise normalizations
     ``sum_k x[k, pair] = 1``; then row ``p * k + out`` is the statistics
     equality ``sum_pairs joint_p * x[out, .] = target_p[out]``.
     """
-    pairs = flats.shape[1]
+    pairs, k = flats.shape[1], targs.shape[1]
     normalization = np.tile(np.eye(pairs), k)
     statistics = np.einsum("ab,pj->pabj", np.eye(k), flats).reshape(len(flats) * k, k * pairs)
     return np.vstack([normalization, statistics]), np.concatenate([np.ones(pairs), np.ravel(targs)])
 
 
-def _misses(preps, targs, table) -> np.ndarray:
+def _misses(joints, targs, table) -> np.ndarray:
     """Predicted minus target probability, one entry per (preparation, outcome)."""
-    return np.einsum("pij,ijk->pk", np.stack(preps), table) - np.stack(targs)
+    return np.einsum("pij,ijk->pk", joints, table) - targs
 
 
-def _max_residual(preps, targs, table) -> float:
+def _max_residual(joints, targs, table) -> float:
     """Largest residual of every normalization and statistics equality under ``table``."""
     worst = float(np.max(np.abs(table.sum(axis=2) - 1.0)))
-    return max(worst, float(np.max(np.abs(_misses(preps, targs, table)))))
+    return max(worst, float(np.max(np.abs(_misses(joints, targs, table)))))
 
 
 def check_witness(preparations, targets, response: ResponseFunction) -> float:
     """Max absolute residual of all equality constraints under ``response``."""
-    preps, targs, n, k = _validate_instance(preparations, targets)
-    if response.size != n or response.outcome_count != k:
+    joints, targs = _validate_instance(preparations, targets)
+    if response.table.shape != joints.shape[1:] + targs.shape[1:]:
         raise SpaceError("response shape does not match the instance")
-    return _max_residual(preps, targs, response.table)
+    return _max_residual(joints, targs, response.table)
 
 
 def _dyadic(values) -> tuple[np.ndarray, int]:
@@ -332,7 +334,7 @@ def _certified_bound(flats, targs, y) -> Fraction:
     """
     joints, j_shift = _dyadic(flats)
     duals, y_shift = _dyadic(y.reshape(len(flats), -1))
-    target, t_shift = _dyadic(np.stack(targs))
+    target, t_shift = _dyadic(targs)
     gain = joints.T.dot(duals)
     return Fraction(int((target * duals).sum()), 1 << (t_shift + y_shift)) - Fraction(
         int(gain.max(axis=1).sum()), 1 << (j_shift + y_shift)
@@ -365,29 +367,32 @@ def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdic
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
-    preps, targs, n, k = _validate_instance(preparations, targets)
-    flats = np.stack([j.ravel() for j in preps])
+    joints, targs = _validate_instance(preparations, targets)
+    n, k = joints.shape[1], targs.shape[1]
+    flats = joints.reshape(len(joints), n * n)
     # Pairs that no preparation reaches are unconstrained: they stay out of
     # the LP and answer uniformly.
     reached = np.flatnonzero(np.any(flats != 0.0, axis=0))
     flats = flats[:, reached]
-    a_eq, b_eq = _assemble_equalities(flats, targs, k)
+    a_eq, b_eq = _assemble_equalities(flats, targs)
     m, n_vars = a_eq.shape
     pairs = reached.size
     slack = np.eye(m)[:, pairs:]
     # Slacks are priced at 1/eps, so HiGHS's absolute default tolerances
     # resolve violations far below eps.
     cost = np.concatenate([np.zeros(n_vars), np.full(2 * (m - pairs), 1.0 / eps)])
+    from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
+
     res = linprog(cost, A_eq=np.hstack([a_eq, slack, -slack]), b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise PbrCheckError(f"LP solver failed: {res.message}")
     rows = np.full((n * n, k), 1.0 / k)
     rows[reached] = np.maximum(res.x[:n_vars].reshape(k, pairs).T, 0.0)
     table = (rows / rows.sum(axis=1, keepdims=True)).reshape(n, n, k)
-    misses = np.abs(_misses(preps, targs, table))
+    misses = np.abs(_misses(joints, targs, table))
     if misses.sum() <= eps:
         witness = ResponseFunction(table)
-        return FeasibilityVerdict(True, witness=witness, max_residual=_max_residual(preps, targs, witness.table))
+        return FeasibilityVerdict(True, witness=witness, max_residual=_max_residual(joints, targs, witness.table))
     y = np.clip(res.eqlin.marginals[pairs:] * eps, -1.0, 1.0)
     bound = _certified_bound(flats, targs, y)
     if bound <= eps:
@@ -400,7 +405,7 @@ def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdic
         False,
         violated_constraint=(
             f"cannot satisfy: preparation {prep}: outcome {out + 1} probability must equal "
-            f"{targs[prep][out]:.12g} (off by {misses[prep, out]:.3e}; "
+            f"{targs[prep, out]:.12g} (off by {misses[prep, out]:.3e}; "
             f"minimal total violation {res.fun * eps:.3e}, certified at least {float(bound):.3e})"
         ),
         certificate=y,

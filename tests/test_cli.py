@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +172,23 @@ class TestFeasibilityCommand:
         doc = ReportDocument.from_json(out)
         assert abs(doc.extras["q_measured"] - 0.25) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "q, status, agreement, exit_code",
+        [
+            # Overlap 1e-4 forces a violation of only 2e-8, below EPS_LP, so
+            # the LP finds a response function the predicate rules out.
+            ("1e-4", "feasible", False, 3),
+            ("0", "feasible", True, 0),
+            ("0.3", "infeasible", True, 3),
+        ],
+    )
+    def test_document_states_agreement_with_the_predicate(self, capsys, q, status, agreement, exit_code):
+        code, out, _ = run(capsys, "--format", "json", "feasibility", "--q", q)
+        doc = ReportDocument.from_json(out)
+        assert doc.verdicts[0]["status"] == status
+        assert doc.extras["agreement"] is agreement
+        assert code == exit_code
+
 
 # --- montecarlo ---
 
@@ -193,6 +212,19 @@ class TestMonteCarloCommand:
         assert code == 0
         doc = ReportDocument.from_json(out)
         np.testing.assert_allclose(np.array(doc.tables[1].probabilities), 0.25)
+
+    def test_correct_sampler_passes_at_seed_57(self, capsys):
+        """Seed 57 deviates by 0.00412 on one of 12 cells: beyond 3 sigma, within
+        the bound that covers all 12 cells together."""
+        code, out, _ = run(capsys, "--format", "json", "montecarlo", "--seed", "57")
+        assert code == 0
+        doc = ReportDocument.from_json(out)
+        assert doc.extras["within_bounds"] is True
+        assert doc.extras["max_abs_deviation"] > 3.0 * math.sqrt(0.25 * 0.75 / 100_000)
+        assert doc.extras["z"] == pytest.approx(3.689, abs=1e-3)
+        targets = np.array(doc.tables[1].probabilities)
+        sigma = np.sqrt(targets * (1.0 - targets) / 100_000)
+        np.testing.assert_allclose(doc.extras["deviation_bounds"], doc.extras["z"] * sigma)
 
     def test_same_seed_is_byte_identical(self, capsys):
         args = ("--format", "json", "montecarlo", "--samples", "5000", "--seed", "123")
@@ -251,3 +283,33 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     ReportDocument.from_json(proc.stdout)
+
+
+def test_only_lp_commands_import_scipy():
+    """scipy is loaded by the first LP verdict, and by nothing before it."""
+    script = """
+import json, sys
+import pbrcheck
+from pbrcheck import cli
+loaded = {"import pbrcheck": "scipy" in sys.modules}
+for argv in (["--version"], ["pbr-table"], ["mz"], ["theta", "--theta", "1.0"], ["montecarlo", "--samples", "1000"]):
+    cli.main(argv)
+    loaded[" ".join(argv)] = "scipy" in sys.modules
+cli.main(["feasibility"])
+loaded["feasibility"] = "scipy.optimize" in sys.modules
+print(json.dumps(loaded), file=sys.stderr)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert loaded == {
+        "import pbrcheck": False,
+        "--version": False,
+        "pbr-table": False,
+        "mz": False,
+        "theta --theta 1.0": False,
+        "montecarlo --samples 1000": False,
+        "feasibility": True,
+    }

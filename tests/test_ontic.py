@@ -303,6 +303,25 @@ class TestFeasibility:
         with pytest.raises(DomainError):
             feasibility([np.full((2, 2), 0.25)], [np.array([0.9, 0.9, 0.1, 0.1])])
 
+    @pytest.mark.parametrize(
+        "preparations, targets, error, message",
+        [
+            ([], [], SpaceError, "0 preparations for 0 target rows"),
+            ([np.full(4, 0.25)], [np.full(4, 0.25)], SpaceError, r"must all be \(-1, -1\), got \(4,\)"),
+            ([np.full((2, 2), 0.25), np.full(4, 0.25)], [np.full(2, 0.5)] * 2, SpaceError, r"got \(4,\)"),
+            ([np.array([[1.5, -0.5], [0.0, 0.0]])], [np.full(2, 0.5)], DomainError, "each joint must be"),
+            ([np.full((2, 2), 0.3)], [np.full(2, 0.5)], DomainError, "each joint must be"),
+            ([np.full((2, 2), 0.25)] * 2, [np.full(2, 0.5), np.full(3, 1 / 3)], SpaceError, "same outcome count"),
+            ([np.full((2, 2), 0.25)], [np.full((2, 2), 0.25)], SpaceError, "same outcome count"),
+            ([np.full((2, 2), 0.25)], [np.array([1.5, -0.5])], DomainError, "each target row must be"),
+        ],
+    )
+    def test_validation_errors(self, preparations, targets, error, message):
+        with pytest.raises(error, match=message):
+            feasibility(preparations, targets)
+        with pytest.raises(error, match=message):
+            check_witness(preparations, targets, constant_response(2, [0.5, 0.5]))
+
     @pytest.mark.parametrize("eps", [0.0, -1e-7, float("nan")])
     def test_tolerance_must_be_positive(self, eps):
         with pytest.raises(DomainError):
