@@ -419,14 +419,15 @@ def _block_seed(root: np.random.SeedSequence, block: int) -> np.random.SeedSeque
 
 
 def _block_counts(mass1, mass2, table, block: int, n_samples: int, root) -> np.ndarray:
-    """Outcome counts of one sample block, drawn from its own three sub-streams."""
+    """Outcome counts of one sample block, drawn from its own three sub-streams.
+
+    ``mass1``, ``mass2`` and every row of ``table`` must sum to 1 to within
+    rounding, as :func:`monte_carlo` makes them: ``Generator.multinomial``
+    rejects a distribution whose leading entries sum to more than 1 + 1e-12.
+    """
     dev1, dev2, detector = (np.random.default_rng(s) for s in _block_seed(root, block).spawn(3))
-    l1 = dev1.choice(mass1.size, size=n_samples, p=mass1)
-    l2 = dev2.choice(mass2.size, size=n_samples, p=mass2)
-    cumulative = np.cumsum(table[l1, l2, :], axis=1)
-    u = detector.random(n_samples)
-    outcomes = np.minimum((cumulative < u[:, None]).sum(axis=1), table.shape[2] - 1)
-    return np.bincount(outcomes, minlength=table.shape[2])
+    pairs = dev2.multinomial(dev1.multinomial(n_samples, mass1), mass2)
+    return detector.multinomial(pairs, table).sum(axis=(0, 1))
 
 
 def monte_carlo(
@@ -446,6 +447,18 @@ def monte_carlo(
     and the block index, so distributing blocks over any number of workers and
     summing counts reproduces the single-threaded result exactly.
 
+    A block of ``B`` samples draws counts, not samples, in three multinomial
+    stages, one per sub-stream: device 1 draws ``c1 ~ Multinomial(B,
+    mu_device1)``; device 2 splits each ``c1[l1]`` by ``mu_device2`` into the
+    pair counts ``c[l1, l2]``; the detector splits each pair count by the
+    response row ``xi(. | l1, l2)``, and the block returns the outcome counts
+    summed over all pairs.  The work per block is O(n**2 * outcomes),
+    whatever ``B``.  The law of the counts is that of ``B`` samples drawn one
+    by one; the counts that a fixed seed gives are not those of a per-sample
+    draw.  The masses and the response rows are divided by their sums once
+    per call, because validation lets each sum be off 1 by up to
+    ``EPS_PROB``.
+
     ``seed`` may be an int or a ``numpy.random.SeedSequence``.
     """
     space = _require_same_space(mu_device1, mu_device2)
@@ -454,10 +467,12 @@ def monte_carlo(
     if not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    mass1, mass2 = (mu.mass / mu.mass.sum() for mu in (mu_device1, mu_device2))
+    table = response.table / response.table.sum(axis=2, keepdims=True)
     counts = np.zeros(response.outcome_count, dtype=np.int64)
     for block in range(0, (samples + _MC_BLOCK - 1) // _MC_BLOCK):
         block_samples = min(_MC_BLOCK, samples - block * _MC_BLOCK)
-        counts += _block_counts(mu_device1.mass, mu_device2.mass, response.table, block, block_samples, root)
+        counts += _block_counts(mass1, mass2, table, block, block_samples, root)
     return counts / samples
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pbrcheck import (
+    EPS_ZERO,
+    OnticSpace,
+    constant_response,
+    monte_carlo,
+    pbr_target_rows,
+    point_mass,
+    state_assignment_response,
+    uniform,
+)
 from pbrcheck.cli import main
 from pbrcheck.report import ReportDocument
 
@@ -196,7 +207,7 @@ class TestFeasibilityCommand:
 class TestMonteCarloCommand:
     def test_psi_ontic_within_bounds(self, capsys):
         code, out, _ = run(
-            capsys, "--format", "json", "montecarlo", "--samples", "20000", "--seed", "11"
+            capsys, "--format", "json", "montecarlo", "--samples", "20000", "--seed", "12"
         )
         assert code == 0
         doc = ReportDocument.from_json(out)
@@ -213,18 +224,76 @@ class TestMonteCarloCommand:
         doc = ReportDocument.from_json(out)
         np.testing.assert_allclose(np.array(doc.tables[1].probabilities), 0.25)
 
-    def test_correct_sampler_passes_at_seed_57(self, capsys):
-        """Seed 57 deviates by 0.00412 on one of 12 cells: beyond 3 sigma, within
-        the bound that covers all 12 cells together."""
+    @staticmethod
+    def run_with_one_cell_off(capsys, monkeypatch, offset):
+        """The command's document when the |00> cell of 0.25 is off by ``offset``
+        (and its 0.5 cell by ``-offset``) at 1e5 samples, every other cell exact."""
+
+        def exact_but_one_cell(mu_a, mu_b, response, samples, seed):
+            freq = np.einsum("i,j,ijk->k", mu_a.mass, mu_b.mass, response.table)
+            return freq + np.array([0.0, offset, 0.0, -offset]) if seed.spawn_key == (0,) else freq
+
+        monkeypatch.setattr("pbrcheck.cli.monte_carlo", exact_but_one_cell)
         code, out, _ = run(capsys, "--format", "json", "montecarlo", "--seed", "57")
+        return code, ReportDocument.from_json(out)
+
+    def test_bound_covers_all_12_cells_together(self, capsys, monkeypatch):
+        """0.00412 lies beyond 3 sigma (0.00411) but within z sigma (0.00505),
+        the bound that covers all 12 cells together."""
+        code, doc = self.run_with_one_cell_off(capsys, monkeypatch, 0.00412)
         assert code == 0
-        doc = ReportDocument.from_json(out)
         assert doc.extras["within_bounds"] is True
+        assert doc.extras["max_abs_deviation"] == pytest.approx(0.00412, abs=1e-12)
         assert doc.extras["max_abs_deviation"] > 3.0 * math.sqrt(0.25 * 0.75 / 100_000)
         assert doc.extras["z"] == pytest.approx(3.689, abs=1e-3)
         targets = np.array(doc.tables[1].probabilities)
         sigma = np.sqrt(targets * (1.0 - targets) / 100_000)
         np.testing.assert_allclose(doc.extras["deviation_bounds"], doc.extras["z"] * sigma)
+
+    def test_deviation_beyond_the_bound_exits_3(self, capsys, monkeypatch):
+        code, doc = self.run_with_one_cell_off(capsys, monkeypatch, 0.0051)
+        assert code == 3
+        assert doc.extras["within_bounds"] is False
+        assert doc.extras["max_abs_deviation"] == pytest.approx(0.0051, abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["psi-ontic", "mz-constant"])
+    def test_bound_misses_at_the_nominal_rate(self, capsys, model):
+        """Over seeds 0-1499 at 1e4 samples a correct sampler misses the bound at
+        most 12 times.  The nominal rate is at most 0.27%, about 4 expected
+        misses, and P(Poisson(4.05) >= 13) is about 5e-4."""
+        samples = 10_000
+        if model == "psi-ontic":
+            space = OnticSpace(2)
+            by_char = {"0": point_mass(space, 0), "+": point_mass(space, 1)}
+            device_pairs = [(by_char[a], by_char[b]) for a, b in ("00", "0+", "+0", "++")]
+            response = state_assignment_response((0, 1), pbr_target_rows())
+            targets = pbr_target_rows()
+        else:
+            mu = uniform(OnticSpace(3))
+            device_pairs, response, targets = [(mu, mu)], constant_response(3, [0.25] * 4), np.full((1, 4), 0.25)
+        cells = np.count_nonzero((targets > EPS_ZERO) & (targets < 1.0 - EPS_ZERO))
+        z = statistics.NormalDist().inv_cdf(1.0 - 0.0027 / (2 * cells))
+        bounds = z * np.sqrt(targets * (1.0 - targets) / samples)
+
+        def frequencies(seed):
+            return np.array([
+                monte_carlo(a, b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                for i, (a, b) in enumerate(device_pairs)
+            ])
+
+        # The rule above is the command's own: its document at seed 0 agrees.
+        code, out, _ = run(
+            capsys, "--format", "json", "montecarlo", "--samples", str(samples), "--seed", "0", "--model", model
+        )
+        doc = ReportDocument.from_json(out)
+        np.testing.assert_array_equal(doc.tables[0].probabilities, frequencies(0))
+        np.testing.assert_array_equal(doc.tables[1].probabilities, targets)
+        assert doc.extras["z"] == z
+        np.testing.assert_array_equal(doc.extras["deviation_bounds"], bounds)
+        assert doc.extras["within_bounds"] is (code == 0)
+
+        misses = sum(not np.all(np.abs(frequencies(seed) - targets) <= bounds) for seed in range(1500))
+        assert misses <= 12
 
     def test_same_seed_is_byte_identical(self, capsys):
         args = ("--format", "json", "montecarlo", "--samples", "5000", "--seed", "123")

@@ -10,6 +10,7 @@ from pbrcheck import (
     DomainError,
     EpistemicDistribution,
     OnticSpace,
+    ResponseFunction,
     SpaceError,
     ZERO_PAIRING,
     constant_response,
@@ -381,6 +382,19 @@ class TestMonteCarlo:
                 block, block_samples, root,
             )
         np.testing.assert_allclose(full, counts / samples, atol=0)
+
+    @pytest.mark.parametrize("odd", ["mass", "response row"])
+    def test_sums_off_by_less_than_eps_prob_are_sampled(self, odd):
+        """Inputs that validation accepts, though a sum is off 1 by 5e-10."""
+        space = OnticSpace(3)
+        mass = [0.5 + 5e-10, 0.5, 0.0] if odd == "mass" else [0.5, 0.5, 0.0]
+        table = np.full((3, 3, 2), 0.5)
+        if odd == "response row":
+            table[0, 1] = [0.5 + 5e-10, 0.5]
+        mu = EpistemicDistribution(space, np.array(mass))
+        freq = monte_carlo(mu, mu, ResponseFunction(table), 2 * _MC_BLOCK, 3)
+        assert freq.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.abs(freq - 0.5) <= 5.0 * math.sqrt(0.25 / (2 * _MC_BLOCK)))
 
     def test_single_sample(self):
         freq = monte_carlo(self.mu_zero, self.mu_plus, self.response, 1, 0)
