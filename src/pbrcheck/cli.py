@@ -35,21 +35,18 @@ from .ontic import (
     uniform,
 )
 from .ontic import feasibility as solve_feasibility
-from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO, born_distribution
+from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO
 from .report import ReportDocument, verdict_summary
 from .scenarios import (
-    PREPARATIONS,
-    XI_LABELS,
     ZERO_PAIRING,
-    ProbabilityTable,
     compatibility_report,
     mz_joint_state,
     mz_normalization_sq,
     mz_preparation_state,
-    pbr_target_rows,
+    mz_scenario,
+    pbr_scenario,
     theta_pair,
     theta_table,
-    xi_basis,
     zero_outcome_table,
 )
 
@@ -112,10 +109,8 @@ def pbr_table_cmd(ctx):
     pairing (the diagonal), 3 otherwise.
     """
     table = zero_outcome_table(zero_threshold=ctx.obj["tolerance"])
-    expected = np.zeros((4, 4), dtype=bool)
-    for row, col in ZERO_PAIRING:
-        expected[row, col] = True
-    pattern_ok = bool(np.array_equal(table.zero_flags, expected))
+    flagged = {(row, col) for row, col in np.argwhere(table.zero_flags).tolist()}
+    pattern_ok = flagged == set(ZERO_PAIRING)
     doc = ReportDocument(
         scenario="pbr-table",
         tables=[table],
@@ -175,17 +170,6 @@ def theta_cmd(ctx, theta):
     _emit(ctx, doc)
 
 
-def _scenario_instance(scenario: str, mu0, mu1):
-    """LP instance for a scenario: (preparations, targets, preparation labels)."""
-    if scenario == "pbr":
-        by_char = {"0": mu0, "+": mu1}
-        preps = [joint(by_char[a], by_char[b]) for a, b in PREPARATIONS]
-        return preps, list(pbr_target_rows()), [f"|{p}>" for p in PREPARATIONS]
-    mu_dev = mixture(mu0, mu1)
-    target = born_distribution(mz_joint_state(), xi_basis())
-    return [joint(mu_dev, mu_dev)], [target], ["Psi"]
-
-
 @cli.command("feasibility")
 @click.option("--scenario", type=click.Choice(["pbr", "mz"]), default="pbr", show_default=True)
 @click.option("--lambda-size", type=int, default=4, show_default=True, help="Number of ontic states (1..8).")
@@ -208,27 +192,27 @@ def feasibility_cmd(ctx, scenario, lambda_size, q, seed):
         mu0, mu1 = overlap_pair(space, q)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
-    preparations, targets, labels = _scenario_instance(scenario, mu0, mu1)
-    verdict = solve_feasibility(preparations, targets)
+    if scenario == "pbr":
+        setup, devices = pbr_scenario(), (mu0, mu1)
+    else:
+        setup, devices = mz_scenario(), (mixture(mu0, mu1),)
+    verdict = solve_feasibility([joint(a, b) for a, b in setup.device_pairs(*devices)], setup.targets)
     extras = {
         "scenario": scenario,
         "lambda_size": lambda_size,
         "q_requested": q,
         "q_measured": overlap(mu0, mu1).q,
-        "preparations": labels,
+        "preparations": list(setup.labels),
         "mu0": mu0.mass.tolist(),
         "mu1": mu1.mass.tolist(),
     }
-    if scenario == "pbr":
-        predicted = pbr_contradiction(mu0, mu1, ZERO_PAIRING)
+    if setup.zero_pairing:
+        predicted = pbr_contradiction(mu0, mu1, setup.zero_pairing)
         extras["contradiction_predicted"] = predicted
         extras["agreement"] = verdict.feasible != predicted
-    target_table = ProbabilityTable(
-        tuple(labels), XI_LABELS, np.array(targets), ctx.obj["tolerance"], title="target statistics"
-    )
     doc = ReportDocument(
         scenario=f"feasibility-{scenario}",
-        tables=[target_table],
+        tables=[setup.table(setup.targets, ctx.obj["tolerance"], "target statistics")],
         verdicts=[verdict_summary("epistemic-model-lp", verdict)],
         metadata=_metadata(ctx, seed=seed, scenario=scenario, lambda_size=lambda_size, q=q),
         extras=extras,
@@ -253,19 +237,17 @@ def montecarlo_cmd(ctx, samples, seed, model):
     if samples < 1:
         raise click.UsageError(f"--samples must be at least 1, got {samples}")
     if model == "psi-ontic":
+        setup = pbr_scenario()
         space = OnticSpace(2)
-        by_char = {"0": point_mass(space, 0), "+": point_mass(space, 1)}
-        response = state_assignment_response((0, 1), pbr_target_rows())
-        device_pairs = [(by_char[a], by_char[b]) for a, b in PREPARATIONS]
-        labels = [f"|{p}>" for p in PREPARATIONS]
-        targets = pbr_target_rows()
+        targets = setup.targets
+        device_pairs = setup.device_pairs(point_mass(space, 0), point_mass(space, 1))
+        response = state_assignment_response((0, 1), targets)
     else:
+        setup = mz_scenario()
         space = OnticSpace(3)
-        mu_dev = uniform(space)
-        response = constant_response(space.size, [0.25] * 4)
-        device_pairs = [(mu_dev, mu_dev)]
-        labels = ["Psi"]
-        targets = np.array([[0.25, 0.25, 0.25, 0.25]])
+        targets = np.array([[0.25] * 4])
+        device_pairs = setup.device_pairs(uniform(space))
+        response = constant_response(space.size, targets[0])
     empirical = np.array(
         [
             monte_carlo(mu_a, mu_b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
@@ -281,8 +263,8 @@ def montecarlo_cmd(ctx, samples, seed, model):
     doc = ReportDocument(
         scenario=f"montecarlo-{model}",
         tables=[
-            ProbabilityTable(tuple(labels), XI_LABELS, empirical, tol, title="empirical frequencies"),
-            ProbabilityTable(tuple(labels), XI_LABELS, targets, tol, title="target distributions"),
+            setup.table(empirical, tol, "empirical frequencies"),
+            setup.table(targets, tol, "target distributions"),
         ],
         metadata=_metadata(ctx, seed=seed, samples=samples, model=model),
         extras={
@@ -307,9 +289,6 @@ def main(argv=None) -> int:
             return rv
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

@@ -84,10 +84,6 @@ class EpistemicDistribution:
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
 
-    def support(self, eps: float = EPS_ZERO) -> np.ndarray:
-        """Indices with mass strictly above ``eps`` (float dust excluded)."""
-        return np.flatnonzero(self.mass > eps)
-
 
 def point_mass(space: OnticSpace, index: int) -> EpistemicDistribution:
     """All mass on a single ontic state."""
@@ -204,9 +200,6 @@ class ResponseFunction:
     @property
     def outcome_count(self) -> int:
         return self.table.shape[2]
-
-    def outcome_probabilities(self, l1: int, l2: int) -> np.ndarray:
-        return np.array(self.table[l1, l2])
 
 
 def constant_response(size: int, probs) -> ResponseFunction:

@@ -118,10 +118,6 @@ def _render_value(value) -> str:
 
 
 def _table_lines(table: ProbabilityTable) -> list[str]:
-    if table.title:
-        yield_title = [f"table: {table.title}"]
-    else:
-        yield_title = ["table:"]
     flags = table.zero_flags
     label_width = max(len("row"), *(len(r) for r in table.row_labels))
     cells = []
@@ -140,10 +136,10 @@ def _table_lines(table: ProbabilityTable) -> list[str]:
         + "  ".join(c.rjust(w) for c, w in zip(cells[i], col_widths))
         for i in range(len(cells))
     ]
-    return yield_title + [header] + body
+    return [f"table: {table.title}" if table.title else "table:", header, *body]
 
 
-def verdict_summary(name: str, verdict: FeasibilityVerdict, include_witness: bool = True) -> dict:
+def verdict_summary(name: str, verdict: FeasibilityVerdict) -> dict:
     """JSON-friendly summary of a feasibility verdict (witness table included)."""
     summary = {
         "name": name,
@@ -151,6 +147,6 @@ def verdict_summary(name: str, verdict: FeasibilityVerdict, include_witness: boo
         "violated_constraint": verdict.violated_constraint,
         "max_residual": None if verdict.max_residual is None else float(verdict.max_residual),
     }
-    if include_witness and verdict.witness is not None:
+    if verdict.witness is not None:
         summary["witness"] = verdict.witness.table.tolist()
     return summary

@@ -7,6 +7,9 @@ built here assigns each product state one outcome it can never produce.  When
 the devices recombine both paths without announcing (a Mach-Zehnder style
 preparation) each emits ``normalize(|0> + |+>)`` instead, and every outcome
 becomes possible.
+
+:class:`Scenario` is the one description of a scenario (labels, device wiring,
+target rows, zero pairing); :func:`pbr_scenario` and :func:`mz_scenario` build it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ XI_LABELS = ("xi1", "xi2", "xi3", "xi4")
 #: (preparation row, outcome column) pairs that carry structural zeros:
 #: |00> never yields xi1, |0+> never xi2, |+0> never xi3, |++> never xi4.
 ZERO_PAIRING = ((0, 0), (1, 1), (2, 2), (3, 3))
+
+_PBR_LABELS = tuple(f"|{p}>" for p in PREPARATIONS)
 
 
 def ket(label: str) -> np.ndarray:
@@ -166,19 +171,13 @@ class ProbabilityTable:
 def table_for_states(
     states,
     row_labels,
-    basis: MeasurementBasis | None = None,
-    column_labels=None,
     zero_threshold: float = EPS_PROB,
     title: str = "",
 ) -> ProbabilityTable:
-    """Born table of the given states against a basis (defaults to the xi basis)."""
-    if basis is None:
-        basis = xi_basis()
-        column_labels = XI_LABELS if column_labels is None else column_labels
-    if column_labels is None:
-        column_labels = tuple(f"o{k + 1}" for k in range(basis.dim))
+    """Born table of the given states against the xi basis."""
+    basis = xi_basis()
     rows = np.array([born_distribution(s, basis) for s in states])
-    return ProbabilityTable(tuple(row_labels), tuple(column_labels), rows, zero_threshold, title)
+    return ProbabilityTable(tuple(row_labels), XI_LABELS, rows, zero_threshold, title)
 
 
 def zero_outcome_table(zero_threshold: float = EPS_PROB) -> ProbabilityTable:
@@ -188,13 +187,42 @@ def zero_outcome_table(zero_threshold: float = EPS_PROB) -> ProbabilityTable:
     :data:`ZERO_PAIRING` (the diagonal).
     """
     states = [product_preparation(p) for p in PREPARATIONS]
-    labels = tuple(f"|{p}>" for p in PREPARATIONS)
-    return table_for_states(states, labels, zero_threshold=zero_threshold, title="product preparations vs xi basis")
+    return table_for_states(states, _PBR_LABELS, zero_threshold=zero_threshold, title="product preparations vs xi basis")
 
 
 def pbr_target_rows() -> np.ndarray:
     """The four Born rows of :func:`zero_outcome_table`, as a (4, 4) float array."""
     return np.array(zero_outcome_table().probabilities)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """The preparations of one scenario and the Born statistics they should give.
+
+    The two devices of preparation ``labels[p]`` draw from the distributions
+    numbered ``devices[p]`` among those passed to :meth:`device_pairs`; its
+    xi-basis Born row is ``targets[p]``.  ``zero_pairing`` lists the
+    (preparation, outcome) cells of probability zero, if any.
+    """
+
+    labels: tuple[str, ...]
+    devices: tuple[tuple[int, int], ...]
+    targets: np.ndarray = field(repr=False)
+    zero_pairing: tuple[tuple[int, int], ...] = ()
+
+    def device_pairs(self, *distributions) -> list[tuple]:
+        """The (device 1, device 2) distributions of every preparation, in row order."""
+        return [(distributions[a], distributions[b]) for a, b in self.devices]
+
+    def table(self, probabilities, zero_threshold: float, title: str) -> ProbabilityTable:
+        """A table with one row per preparation of this scenario, against the xi outcomes."""
+        return ProbabilityTable(self.labels, XI_LABELS, probabilities, zero_threshold, title)
+
+
+def pbr_scenario() -> Scenario:
+    """The announced product preparations; a device showing ``0`` uses distribution 0, ``+`` uses 1."""
+    devices = tuple(tuple("0+".index(ch) for ch in p) for p in PREPARATIONS)
+    return Scenario(_PBR_LABELS, devices, pbr_target_rows(), ZERO_PAIRING)
 
 
 @dataclass(frozen=True)
@@ -224,13 +252,12 @@ def theta_pair(theta: float) -> ThetaPair:
 
 def theta_table(
     pair: ThetaPair,
-    basis: MeasurementBasis | None = None,
     zero_threshold: float = EPS_PROB,
 ) -> ProbabilityTable:
-    """Born table of the four ordered products psi_i (x) psi_j.
+    """Born table of the four ordered products psi_i (x) psi_j against the xi basis.
 
-    No zero pattern is asserted here; which measurement suits a general pair
-    is the caller's choice, and the xi basis is only the default.
+    No zero pattern is asserted here; the products are measured in the xi
+    basis, the one measurement of both scenarios.
     """
     states, labels = [], []
     for i, a in ((0, pair.psi0), (1, pair.psi1)):
@@ -238,7 +265,7 @@ def theta_table(
             states.append(tensor(a, b))
             labels.append(f"psi{i}*psi{j}")
     title = f"theta-pair products vs measurement basis (theta={pair.theta:.12g})"
-    return table_for_states(states, labels, basis=basis, zero_threshold=zero_threshold, title=title)
+    return table_for_states(states, labels, zero_threshold=zero_threshold, title=title)
 
 
 def mz_preparation_state() -> np.ndarray:
@@ -261,9 +288,13 @@ def mz_joint_state() -> np.ndarray:
     return tensor(psi, psi)
 
 
+def mz_scenario() -> Scenario:
+    """The unannounced which-way-free preparation: both devices draw from one distribution."""
+    return Scenario(("Psi",), ((0, 0),), np.array([born_distribution(mz_joint_state(), xi_basis())]))
+
+
 def compatibility_report(
     state,
-    basis: MeasurementBasis | None = None,
     label: str = "Psi",
     zero_threshold: float = EPS_PROB,
 ) -> ProbabilityTable:
@@ -273,5 +304,5 @@ def compatibility_report(
     zero, i.e. it may produce every outcome.
     """
     return table_for_states(
-        [state], (label,), basis=basis, zero_threshold=zero_threshold, title=f"{label} vs measurement basis"
+        [state], (label,), zero_threshold=zero_threshold, title=f"{label} vs measurement basis"
     )

@@ -64,7 +64,7 @@ class TestDistributions:
 
     def test_zero_mass_states_allowed(self):
         d = dist(0.5, 0.0, 0.5)
-        np.testing.assert_array_equal(d.support(), [0, 2])
+        np.testing.assert_array_equal(np.flatnonzero(d.mass), [0, 2])
 
     def test_point_mass_and_uniform(self):
         space = OnticSpace(4)
@@ -188,7 +188,7 @@ class TestResponses:
     def test_constant_response(self):
         resp = constant_response(3, [0.25, 0.25, 0.25, 0.25])
         assert resp.size == 3 and resp.outcome_count == 4
-        np.testing.assert_allclose(resp.outcome_probabilities(2, 1), 0.25)
+        np.testing.assert_allclose(resp.table[2, 1], 0.25)
 
     def test_rows_must_normalize(self):
         with pytest.raises(DomainError):
@@ -197,10 +197,10 @@ class TestResponses:
     def test_state_assignment_reads_off_born_rows(self):
         resp = state_assignment_response((0, 1), pbr_target_rows())
         rows = pbr_target_rows()
-        np.testing.assert_array_equal(resp.outcome_probabilities(0, 0), rows[0])
-        np.testing.assert_array_equal(resp.outcome_probabilities(0, 1), rows[1])
-        np.testing.assert_array_equal(resp.outcome_probabilities(1, 0), rows[2])
-        np.testing.assert_array_equal(resp.outcome_probabilities(1, 1), rows[3])
+        np.testing.assert_array_equal(resp.table[0, 0], rows[0])
+        np.testing.assert_array_equal(resp.table[0, 1], rows[1])
+        np.testing.assert_array_equal(resp.table[1, 0], rows[2])
+        np.testing.assert_array_equal(resp.table[1, 1], rows[3])
 
 
 # --- feasibility ---

@@ -25,6 +25,8 @@ from pbrcheck import (
     zero_outcome_table,
 )
 
+from pbrcheck.scenarios import mz_scenario, pbr_scenario
+
 import oracles
 
 SQRT2 = math.sqrt(2.0)
@@ -188,6 +190,36 @@ class TestMachZehnder:
         """|sqrt(2) cos(pi/8) sin(pi/8)|^2 = 1/4."""
         amp = SQRT2 * math.cos(math.pi / 8) * math.sin(math.pi / 8)
         assert abs(amp**2 - 0.25) <= 1e-12
+
+
+# --- scenario descriptions ---
+
+
+class TestScenario:
+    def test_pbr_labels_are_the_zero_outcome_rows(self):
+        assert pbr_scenario().labels == zero_outcome_table().row_labels
+
+    def test_pbr_targets_are_the_born_rows(self):
+        np.testing.assert_array_equal(pbr_scenario().targets, pbr_target_rows())
+
+    def test_pbr_wires_0_to_the_first_and_plus_to_the_second_distribution(self):
+        a, b = object(), object()
+        by_char = {"0": a, "+": b}
+        pairs = pbr_scenario().device_pairs(a, b)
+        assert len(pairs) == len(PREPARATIONS)
+        for (first, second), label in zip(pairs, PREPARATIONS):
+            assert first is by_char[label[0]] and second is by_char[label[1]]
+
+    def test_pbr_zero_pairing(self):
+        assert pbr_scenario().zero_pairing == ZERO_PAIRING
+
+    def test_mz_is_one_device_used_twice(self):
+        scenario = mz_scenario()
+        mu = object()
+        assert len(scenario.labels) == 1
+        assert scenario.device_pairs(mu) == [(mu, mu)]
+        assert scenario.zero_pairing == ()
+        np.testing.assert_array_equal(scenario.targets, [born_distribution(mz_joint_state(), xi_basis())])
 
 
 # --- compatibility reports ---
