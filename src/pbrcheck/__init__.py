@@ -43,7 +43,6 @@ from .quantum import (
     inner,
     is_normalized,
     is_orthonormal_basis,
-    norm,
     normalize,
     tensor,
 )
@@ -53,7 +52,6 @@ from .scenarios import (
     ZERO_PAIRING,
     ProbabilityTable,
     ThetaPair,
-    compatibility_report,
     ket,
     mz_joint_state,
     mz_normalization_sq,
@@ -67,61 +65,3 @@ from .scenarios import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "PbrCheckError",
-    "DimensionError",
-    "BasisError",
-    "ZeroVectorError",
-    "SpaceError",
-    "DomainError",
-    # quantum core
-    "EPS_NORM",
-    "EPS_PROB",
-    "EPS_ZERO",
-    "MeasurementBasis",
-    "tensor",
-    "inner",
-    "norm",
-    "normalize",
-    "is_normalized",
-    "is_orthonormal_basis",
-    "born_distribution",
-    # scenarios
-    "PREPARATIONS",
-    "XI_LABELS",
-    "ZERO_PAIRING",
-    "ProbabilityTable",
-    "ThetaPair",
-    "ket",
-    "product_preparation",
-    "xi_basis",
-    "zero_outcome_table",
-    "pbr_target_rows",
-    "theta_pair",
-    "theta_table",
-    "mz_preparation_state",
-    "mz_normalization_sq",
-    "mz_joint_state",
-    "compatibility_report",
-    # ontic models
-    "EPS_LP",
-    "OnticSpace",
-    "EpistemicDistribution",
-    "OverlapReport",
-    "ResponseFunction",
-    "FeasibilityVerdict",
-    "point_mass",
-    "uniform",
-    "mixture",
-    "overlap",
-    "joint",
-    "pbr_contradiction",
-    "constant_response",
-    "state_assignment_response",
-    "feasibility",
-    "monte_carlo",
-    "overlap_pair",
-]

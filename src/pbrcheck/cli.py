@@ -39,7 +39,6 @@ from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO
 from .report import ReportDocument, verdict_summary
 from .scenarios import (
     ZERO_PAIRING,
-    compatibility_report,
     mz_joint_state,
     mz_normalization_sq,
     mz_preparation_state,
@@ -132,9 +131,10 @@ def mz_cmd(ctx):
 
     Exits 0 iff all four outcome probabilities exceed the zero-flag threshold.
     """
+    setup = mz_scenario()
+    table = setup.table(setup.targets, ctx.obj["tolerance"], "Psi vs measurement basis")
     psi = mz_preparation_state()
     joint_state = mz_joint_state()
-    table = compatibility_report(joint_state, label="Psi", zero_threshold=ctx.obj["tolerance"])
     doc = ReportDocument(
         scenario="mz",
         tables=[table],
@@ -283,12 +283,10 @@ def main(argv=None) -> int:
     """Dispatch the CLI, mapping every outcome onto the documented exit codes."""
     try:
         # In non-standalone mode click returns ctx.exit codes instead of
-        # raising SystemExit (older versions raised Exit; handle both).
+        # raising SystemExit.
         rv = cli.main(args=argv, standalone_mode=False, prog_name="pbrcheck")
         if isinstance(rv, int):
             return rv
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

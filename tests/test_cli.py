@@ -25,6 +25,7 @@ from pbrcheck import (
 )
 from pbrcheck.cli import main
 from pbrcheck.report import ReportDocument
+from pbrcheck.scenarios import mz_scenario
 
 
 def run(capsys, *argv):
@@ -128,6 +129,14 @@ class TestMz:
         assert doc.extras["verdict"] == "compatible"
         probs = np.array(doc.tables[0].probabilities)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
+
+    def test_table_is_the_mz_scenario(self, capsys):
+        _, out, _ = run(capsys, "--format", "json", "mz")
+        table = ReportDocument.from_json(out).tables[0]
+        setup = mz_scenario()
+        np.testing.assert_array_equal(table.probabilities, setup.targets)
+        assert table.row_labels == setup.labels
+        assert table.title == "Psi vs measurement basis"
 
     def test_text_contains_verdict(self, capsys):
         code, out, _ = run(capsys, "mz")

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import chi2
 
 from pbrcheck import (
-    EPS_PROB,
     EPS_ZERO,
     EpistemicDistribution,
     OnticSpace,
@@ -21,6 +20,7 @@ from pbrcheck import (
 from pbrcheck.ontic import _MC_BLOCK, _block_counts
 
 import oracles
+from strategies import ENTRY, OFF, distributions
 
 # Fixed before the first run: 200 seeds of 5000 samples per sampler and
 # model, each check rejecting at 1e-4, so the 15 checks below together
@@ -110,20 +110,6 @@ def test_point_masses_with_a_deterministic_response_equal_the_oracle(samples):
 
 # --- properties on edge inputs ---
 
-_OFF = 0.99 * EPS_PROB
-_ENTRY = st.one_of(st.sampled_from([0.0, 1e-13, 1e-11]), st.floats(0.05, 1.0))
-
-
-@st.composite
-def distributions(draw, size):
-    """Mass with zeros and dust at 1e-13 and 1e-11, its sum off 1 by up to EPS_PROB."""
-    mass = np.array(draw(st.lists(_ENTRY, min_size=size, max_size=size)))
-    big = mass >= 0.05
-    assume(big.any())
-    mass[big] *= (1.0 - mass[~big].sum()) / mass[big].sum()
-    return mass * (1.0 + draw(st.floats(-_OFF, _OFF)))
-
-
 @st.composite
 def models(draw):
     """(mu_a, mu_b, response) on n = 2..8 states, some outcomes impossible."""
@@ -132,13 +118,13 @@ def models(draw):
     space = OnticSpace(n)
     mu_a = EpistemicDistribution(space, draw(distributions(n)))
     mu_b = EpistemicDistribution(space, draw(distributions(n)))
-    table = draw(arrays(np.float64, (n, n, k), elements=_ENTRY))
+    table = draw(arrays(np.float64, (n, n, k), elements=ENTRY))
     silent = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(lambda s: not all(s))))
     table[..., silent] = 0.0
     empty = table.sum(axis=2) == 0.0
     table[empty, int(np.argmin(silent))] = 1.0
     table /= table.sum(axis=2, keepdims=True)
-    table *= 1.0 + draw(arrays(np.float64, (n, n, 1), elements=st.floats(-_OFF, _OFF)))
+    table *= 1.0 + draw(arrays(np.float64, (n, n, 1), elements=st.floats(-OFF, OFF)))
     return mu_a, mu_b, ResponseFunction(table)
 
 

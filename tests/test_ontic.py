@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbrcheck import (
     EPS_LP,
+    EPS_PROB,
     DomainError,
     EpistemicDistribution,
     OnticSpace,
@@ -27,8 +30,10 @@ from pbrcheck import (
     uniform,
 )
 from pbrcheck.ontic import _MC_BLOCK, _block_counts, check_witness
+from pbrcheck.scenarios import mz_scenario, pbr_scenario
 
 import oracles
+from strategies import distributions
 
 
 def dist(*mass):
@@ -51,9 +56,6 @@ class TestDistributions:
         with pytest.raises(DomainError):
             OnticSpace(0)
 
-    def test_default_labels(self):
-        assert OnticSpace(3).labels == ("lam0", "lam1", "lam2")
-
     def test_mass_must_sum_to_one(self):
         with pytest.raises(DomainError):
             dist(0.5, 0.4)
@@ -70,7 +72,6 @@ class TestDistributions:
         space = OnticSpace(4)
         np.testing.assert_array_equal(point_mass(space, 2).mass, [0, 0, 1, 0])
         np.testing.assert_allclose(uniform(space).mass, 0.25)
-        np.testing.assert_allclose(uniform(space, [1, 3]).mass, [0, 0.5, 0, 0.5])
 
     def test_mixture(self):
         space = OnticSpace(2)
@@ -315,6 +316,7 @@ class TestFeasibility:
             ([np.full((2, 2), 0.25)] * 2, [np.full(2, 0.5), np.full(3, 1 / 3)], SpaceError, "same outcome count"),
             ([np.full((2, 2), 0.25)], [np.full((2, 2), 0.25)], SpaceError, "same outcome count"),
             ([np.full((2, 2), 0.25)], [np.array([1.5, -0.5])], DomainError, "each target row must be"),
+            ([np.full((2, 2), 0.25 + EPS_PROB)], [np.full(2, 0.5)], DomainError, "each joint must be"),
         ],
     )
     def test_validation_errors(self, preparations, targets, error, message):
@@ -323,10 +325,64 @@ class TestFeasibility:
         with pytest.raises(error, match=message):
             check_witness(preparations, targets, constant_response(2, [0.5, 0.5]))
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-7, float("nan")])
-    def test_tolerance_must_be_positive(self, eps):
-        with pytest.raises(DomainError):
-            feasibility([np.full((2, 2), 0.25)], [np.full(4, 0.25)], eps=eps)
+    def test_joints_of_valid_distributions_are_accepted(self):
+        """A mass may miss 1 by EPS_PROB, so a joint of two may miss by about twice that."""
+        a = EpistemicDistribution(OnticSpace(2), [0.5 + 9e-10, 0.5])
+        b = uniform(OnticSpace(2))
+        preparations = [joint(a, a), joint(a, b), joint(b, a), joint(b, b)]
+        verdict = feasibility(preparations, pbr_target_rows())
+        assert not verdict.feasible  # a and b overlap on both states
+        assert oracles.certified_violation_bound(preparations, pbr_target_rows(), verdict.certificate) > EPS_LP
+
+    def test_joint_sums_carry_rounding_past_the_product_bound(self):
+        """This mass sums to 1 + 0.99999999 * EPS_PROB; the float sum of its joint
+        misses 1 by 1.6e-16 more than (1 + EPS_PROB)**2 - 1."""
+        a = dist(0.49912212665708044, 0.05660200123932083, 0.4257249041337798, 0.018550968969818983)
+        assert abs(joint(a, a).sum() - 1.0) > 2 * EPS_PROB + EPS_PROB**2
+        assert feasibility([joint(a, a)], [np.full(4, 0.25)]).feasible
+
+
+# --- feasibility on edge inputs ---
+
+
+@st.composite
+def instances(draw, disjoint=False):
+    """Joints and targets of the pbr or mz scenario from two drawn distributions.
+
+    The masses carry dust at 1e-13 and 1e-11 and sums off 1 by up to
+    0.99 * EPS_PROB; with ``disjoint`` their supports are split at a drawn index.
+    """
+    n = draw(st.integers(2, 8))
+    space = OnticSpace(n)
+    if disjoint:
+        split = draw(st.integers(1, n - 1))
+        m0 = np.concatenate([draw(distributions(split)), np.zeros(n - split)])
+        m1 = np.concatenate([np.zeros(split), draw(distributions(n - split))])
+    else:
+        m0, m1 = draw(distributions(n)), draw(distributions(n))
+    mu0, mu1 = EpistemicDistribution(space, m0), EpistemicDistribution(space, m1)
+    if disjoint or draw(st.booleans()):
+        setup, devices = pbr_scenario(), (mu0, mu1)
+    else:
+        setup, devices = mz_scenario(), (mixture(mu0, mu1),)
+    return [joint(a, b) for a, b in setup.device_pairs(*devices)], list(setup.targets)
+
+
+@settings(deadline=None, max_examples=150)
+@given(instances())
+def test_every_instance_gets_a_checked_verdict(instance):
+    preparations, targets = instance
+    verdict = feasibility(preparations, targets)
+    if verdict.feasible:
+        assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+    else:
+        assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
+
+
+@settings(deadline=None, max_examples=60)
+@given(instances(disjoint=True))
+def test_disjoint_supports_are_feasible(instance):
+    assert feasibility(*instance).feasible
 
 
 # --- Monte Carlo ---

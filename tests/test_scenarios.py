@@ -12,7 +12,6 @@ from pbrcheck import (
     XI_LABELS,
     ZERO_PAIRING,
     born_distribution,
-    compatibility_report,
     ket,
     mz_joint_state,
     mz_normalization_sq,
@@ -25,7 +24,7 @@ from pbrcheck import (
     zero_outcome_table,
 )
 
-from pbrcheck.scenarios import mz_scenario, pbr_scenario
+from pbrcheck.scenarios import mz_scenario, pbr_scenario, table_for_states
 
 import oracles
 
@@ -227,18 +226,18 @@ class TestScenario:
 
 class TestCompatibility:
     def test_mz_joint_is_compatible(self):
-        report = compatibility_report(mz_joint_state())
+        report = table_for_states([mz_joint_state()], ("Psi",))
         assert report.compatible
         assert not report.zero_flags.any()
 
     def test_announced_product_state_is_not(self):
-        report = compatibility_report(product_preparation("00"))
+        report = table_for_states([product_preparation("00")], ("Psi",))
         assert not report.compatible
         np.testing.assert_array_equal(report.zero_flags, [[True, False, False, False]])
 
     def test_basis_eigenstate_row(self):
-        xi2 = xi_basis().outcome(1)
-        report = compatibility_report(xi2)
+        xi2 = xi_basis().outcomes[1]
+        report = table_for_states([xi2], ("Psi",))
         np.testing.assert_allclose(report.probabilities, [[0, 1, 0, 0]], atol=1e-12)
         assert not report.compatible
 
