@@ -39,6 +39,7 @@ from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO
 from .report import ReportDocument, verdict_summary
 from .scenarios import (
     ZERO_PAIRING,
+    Scenario,
     mz_joint_state,
     mz_normalization_sq,
     mz_preparation_state,
@@ -239,15 +240,14 @@ def montecarlo_cmd(ctx, samples, seed, model):
     if model == "psi-ontic":
         setup = pbr_scenario()
         space = OnticSpace(2)
-        targets = setup.targets
         device_pairs = setup.device_pairs(point_mass(space, 0), point_mass(space, 1))
-        response = state_assignment_response((0, 1), targets)
+        response = state_assignment_response((0, 1), setup.targets)
     else:
-        setup = mz_scenario()
+        setup = Scenario(("Psi",), ((0, 0),), np.array([[0.25] * 4]))  # mz wiring; no Born row computed
         space = OnticSpace(3)
-        targets = np.array([[0.25] * 4])
         device_pairs = setup.device_pairs(uniform(space))
-        response = constant_response(space.size, targets[0])
+        response = constant_response(space.size, setup.targets[0])
+    targets = setup.targets
     empirical = np.array(
         [
             monte_carlo(mu_a, mu_b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PbrCheckError, SpaceError
-from .quantum import EPS_PROB, EPS_ZERO
+from .quantum import EPS_PROB, EPS_ZERO, as_distributions
 
 #: Tolerance on the total violation of the LP equality constraints (elastic
 #: solve, witness re-check and infeasibility certificate).
@@ -66,18 +66,10 @@ class EpistemicDistribution:
     mass: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.array(self.mass, dtype=np.float64)
+        m = np.asarray(self.mass, dtype=np.float64)
         if m.shape != (self.space.size,):
             raise SpaceError(f"mass shape {m.shape} does not match space size {self.space.size}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("mass entries must be finite")
-        if np.any(m < -EPS_ZERO):
-            raise DomainError(f"mass entries must be nonnegative, got min {m.min()!r}")
-        m = np.maximum(m, 0.0)
-        if abs(m.sum() - 1.0) > EPS_PROB:
-            raise DomainError(f"mass must sum to 1 within {EPS_PROB}, got {m.sum()!r}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
+        object.__setattr__(self, "mass", as_distributions(m, "mass"))
 
 
 def point_mass(space: OnticSpace, index: int) -> EpistemicDistribution:
@@ -164,19 +156,10 @@ class ResponseFunction:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=np.float64)
+        t = np.asarray(self.table, dtype=np.float64)
         if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[2] < 1:
             raise DomainError(f"response table must have shape (n, n, outcomes), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise DomainError("response entries must be finite")
-        if np.any(t < -EPS_PROB):
-            raise DomainError(f"response entries must be nonnegative, got min {t.min()!r}")
-        t = np.maximum(t, 0.0)
-        sums = t.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > EPS_PROB):
-            raise DomainError("every (l1, l2) outcome row must sum to 1")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", as_distributions(t, "response row"))
 
     @property
     def size(self) -> int:
@@ -244,20 +227,13 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     wrong = next((j.shape for j in preps if j.shape != (n, n)), None)
     if wrong is not None:
         raise SpaceError(f"joint distributions must all be ({n}, {n}), got {wrong}")
-    joints = np.asarray(preps)
-    # The sums are tested first: a sum near 1 means the array is not empty.  A
-    # joint of two masses each off 1 by up to EPS_PROB is off by their product,
-    # plus the rounding of its n * n terms.
+    # Two masses each off 1 by EPS_PROB give a joint off by their product, plus n * n roundings.
     joint_tol = 2 * EPS_PROB + EPS_PROB**2 + n * n * np.finfo(np.float64).eps
-    if np.abs(joints.sum(axis=(1, 2)) - 1.0).max() > joint_tol or joints.min() < -EPS_ZERO:
-        raise DomainError("each joint must be a probability distribution over pairs")
+    joints = as_distributions([j.ravel() for j in preps], "joint", joint_tol)
     k = targs[0].size
     if any(t.ndim != 1 or t.size != k for t in targs):
         raise SpaceError("target rows must all have the same outcome count")
-    rows = np.asarray(targs)
-    if np.abs(rows.sum(axis=1) - 1.0).max() > EPS_PROB or rows.min() < -EPS_PROB:
-        raise DomainError("each target row must be a probability distribution")
-    return joints, rows
+    return joints.reshape(-1, n, n), as_distributions(targs, "target row")
 
 
 def _assemble_equalities(flats, targs):

@@ -13,14 +13,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, ZeroVectorError
+from .errors import BasisError, DimensionError, DomainError, ZeroVectorError
 
 #: Tolerance for unit norms and orthonormality checks.
 EPS_NORM = 1e-10
 #: Tolerance for probability sums and zero flags.
 EPS_PROB = 1e-9
-#: Squared norms at or below this count as the zero vector.
+#: Squared norms at or below this count as the zero vector, probabilities down to minus this as dust.
 EPS_ZERO = 1e-12
+
+
+def as_distributions(values, what: str, sum_tol: float = EPS_PROB) -> np.ndarray:
+    """Read-only float64 copy of ``values`` whose last-axis rows must be probability distributions.
+
+    Entries must be finite and at least ``-EPS_ZERO`` (dust below 0 becomes 0); rows must sum to 1 within ``sum_tol``.
+    """
+    p = np.array(values, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise DomainError(f"each {what} must be finite")
+    if (p < -EPS_ZERO).any():
+        raise DomainError(f"each {what} must be nonnegative, got min {p.min()!r}")
+    np.maximum(p, 0.0, out=p)
+    off = np.abs(p.sum(axis=-1) - 1.0)
+    if (off > sum_tol).any():
+        raise DomainError(f"each {what} must be normalized to within {sum_tol!r}, but a sum is off 1 by {off.max()!r}")
+    p.setflags(write=False)
+    return p
 
 
 def as_state(values) -> np.ndarray:

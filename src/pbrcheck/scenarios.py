@@ -23,6 +23,7 @@ from .errors import DomainError
 from .quantum import (
     EPS_PROB,
     MeasurementBasis,
+    as_distributions,
     born_distribution,
     inner,
     normalize,
@@ -90,9 +91,9 @@ def xi_basis() -> MeasurementBasis:
 class ProbabilityTable:
     """Preparation-vs-outcome probability matrix with zero flags.
 
-    Probabilities are stored unclipped; entries at or below ``zero_threshold``
-    are flagged and rendered as exact zeros by the display layers.  Every row
-    must sum to 1 within ``EPS_PROB`` regardless of the display threshold.
+    Rows are checked by :func:`as_distributions` whatever the display threshold,
+    so dust is clipped to 0 and nothing is rounded.  Entries at or below
+    ``zero_threshold`` are flagged and rendered as exact zeros by the display layers.
     """
 
     row_labels: tuple[str, ...]
@@ -102,24 +103,16 @@ class ProbabilityTable:
     title: str = ""
 
     def __post_init__(self):
-        probs = np.array(self.probabilities, dtype=np.float64)
+        probs = np.asarray(self.probabilities, dtype=np.float64)
         rows, cols = tuple(self.row_labels), tuple(self.column_labels)
         if probs.ndim != 2 or probs.shape != (len(rows), len(cols)):
             raise DomainError(
                 f"probability matrix shape {probs.shape} does not match "
                 f"{len(rows)} row / {len(cols)} column labels"
             )
-        if not np.all(np.isfinite(probs)):
-            raise DomainError("probabilities must be finite")
-        if np.any(probs < -EPS_PROB) or np.any(probs > 1.0 + EPS_PROB):
-            raise DomainError("probabilities must lie in [0, 1]")
         if not (math.isfinite(self.zero_threshold) and self.zero_threshold > 0.0):
             raise DomainError(f"zero_threshold must be positive, got {self.zero_threshold!r}")
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > EPS_PROB):
-            raise DomainError(f"every row must sum to 1 within {EPS_PROB}, got {sums}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", as_distributions(probs, "table row"))
         object.__setattr__(self, "row_labels", rows)
         object.__setattr__(self, "column_labels", cols)
 

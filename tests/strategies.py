@@ -1,5 +1,7 @@
 """Hypothesis strategies for edge inputs shared by the sampler and LP tests."""
 
+import math
+
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from pbrcheck import EPS_PROB
 OFF = 0.99 * EPS_PROB
 #: An entry is zero, mass dust on either side of EPS_ZERO, or a real mass.
 ENTRY = st.one_of(st.sampled_from([0.0, 1e-13, 1e-11]), st.floats(0.05, 1.0))
+#: A row entry is non-finite, negative beyond or within the dust bound, zero, dust, or a real mass.
+ROW_ENTRY = st.one_of(st.sampled_from([math.nan, math.inf, -1e-11, -1e-13, 0.0, 1e-13]), st.floats(0.05, 1.0))
 
 
 @st.composite
@@ -20,3 +24,15 @@ def distributions(draw, size):
     assume(big.any())
     mass[big] *= (1.0 - mass[~big].sum()) / mass[big].sum()
     return mass * (1.0 + draw(st.floats(-OFF, OFF)))
+
+
+@st.composite
+def probability_rows(draw):
+    """1 to 6 row entries; the real masses are scaled so that the finite entries
+    sum to 1, then one of them is moved by up to 2 * EPS_PROB."""
+    row = np.array(draw(st.lists(ROW_ENTRY, min_size=1, max_size=6)))
+    big = np.isfinite(row) & (row >= 0.05)
+    assume(big.any())
+    row[big] *= (1.0 - row[np.isfinite(row) & ~big].sum()) / row[big].sum()
+    row[np.argmax(big)] += draw(st.floats(-2 * EPS_PROB, 2 * EPS_PROB))
+    return row

@@ -23,6 +23,7 @@ from pbrcheck import (
     state_assignment_response,
     uniform,
 )
+from pbrcheck import quantum, scenarios
 from pbrcheck.cli import main
 from pbrcheck.report import ReportDocument
 from pbrcheck.scenarios import mz_scenario
@@ -232,6 +233,22 @@ class TestMonteCarloCommand:
         assert code == 0
         doc = ReportDocument.from_json(out)
         np.testing.assert_allclose(np.array(doc.tables[1].probabilities), 0.25)
+
+    def test_mz_constant_computes_no_born_row(self, capsys, monkeypatch):
+        """The constant model's targets are its own quarter row, not the mz Born row."""
+        born, calls = quantum.born_distribution, []
+
+        def counted(*args):
+            calls.append(args)
+            return born(*args)
+
+        for module in (quantum, scenarios):
+            monkeypatch.setattr(module, "born_distribution", counted)
+        run(capsys, "montecarlo", "--samples", "100", "--model", "psi-ontic")
+        assert len(calls) == 4
+        calls.clear()
+        run(capsys, "montecarlo", "--samples", "100", "--model", "mz-constant")
+        assert calls == []
 
     @staticmethod
     def run_with_one_cell_off(capsys, monkeypatch, offset):

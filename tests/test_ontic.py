@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from pbrcheck import (
     EPS_LP,
     EPS_PROB,
+    EPS_ZERO,
     DomainError,
     EpistemicDistribution,
     OnticSpace,
+    ProbabilityTable,
     ResponseFunction,
     SpaceError,
     ZERO_PAIRING,
@@ -29,11 +31,11 @@ from pbrcheck import (
     state_assignment_response,
     uniform,
 )
-from pbrcheck.ontic import _MC_BLOCK, _block_counts, check_witness
+from pbrcheck.ontic import _MC_BLOCK, _block_counts, _validate_instance, check_witness
 from pbrcheck.scenarios import mz_scenario, pbr_scenario
 
 import oracles
-from strategies import distributions
+from strategies import distributions, probability_rows
 
 
 def dist(*mass):
@@ -317,6 +319,8 @@ class TestFeasibility:
             ([np.full((2, 2), 0.25)], [np.full((2, 2), 0.25)], SpaceError, "same outcome count"),
             ([np.full((2, 2), 0.25)], [np.array([1.5, -0.5])], DomainError, "each target row must be"),
             ([np.full((2, 2), 0.25 + EPS_PROB)], [np.full(2, 0.5)], DomainError, "each joint must be"),
+            ([np.array([[math.nan, 0.5], [0.25, 0.25]])], [np.full(2, 0.5)], DomainError, "each joint must be"),
+            ([np.full((2, 2), 0.25)], [np.array([math.nan, 0.5])], DomainError, "each target row must be"),
         ],
     )
     def test_validation_errors(self, preparations, targets, error, message):
@@ -340,6 +344,43 @@ class TestFeasibility:
         a = dist(0.49912212665708044, 0.05660200123932083, 0.4257249041337798, 0.018550968969818983)
         assert abs(joint(a, a).sum() - 1.0) > 2 * EPS_PROB + EPS_PROB**2
         assert feasibility([joint(a, a)], [np.full(4, 0.25)]).feasible
+
+
+# --- one rule for probability rows ---
+
+
+def stored(build):
+    """The floats that ``build`` stores, or None when validation rejects them."""
+    try:
+        return build()
+    except DomainError:
+        return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(probability_rows())
+def test_every_layer_accepts_the_same_rows(row):
+    """A mass, a response row, a table row and a target row accept exactly the
+    finite rows with no entry below -EPS_ZERO whose clipped sum is 1 within
+    EPS_PROB, store them with dust clipped and nothing rounded, and never
+    write the row given."""
+    k, one_pair, given_row = row.size, [np.ones((1, 1))], row.copy()
+    clipped = np.maximum(row, 0.0)
+    valid = bool(np.isfinite(row).all() and row.min() >= -EPS_ZERO and abs(clipped.sum() - 1.0) <= EPS_PROB)
+
+    def target_row():
+        feasibility(one_pair, [row])
+        return _validate_instance(one_pair, [row])[1][0]
+
+    rows = [
+        stored(lambda: EpistemicDistribution(OnticSpace(k), row).mass),
+        stored(lambda: ResponseFunction(row.reshape(1, 1, k)).table[0, 0]),
+        stored(lambda: ProbabilityTable(("p",), tuple(map(str, range(k))), [row]).probabilities[0]),
+        stored(target_row),
+    ]
+    assert [r is not None for r in rows] == [valid] * 4
+    assert all(r is None or r.tobytes() == clipped.tobytes() for r in rows)
+    assert row.tobytes() == given_row.tobytes()
 
 
 # --- feasibility on edge inputs ---
