@@ -14,12 +14,17 @@ actually reaches the detector.
 Whether such a model can reproduce given quantum statistics is a linear
 feasibility question in the response-function entries: nonnegativity,
 pointwise normalization, and one linear equality per (preparation, outcome).
-:func:`feasibility` decides it with one elastic LP solve and returns either a
-re-checked witness or a dual certificate, checked in exact arithmetic, that
-bounds the violation every response function must incur;
-:func:`pbr_contradiction` is the independent analytic shortcut for the
-four-preparation scenario with a zero-outcome pairing that covers every
-outcome.
+:func:`feasibility` decides it with one elastic LP solve.  Pairs whose joints
+are proportional across the preparations (equal likelihood ratios) are
+interchangeable, so the LP has one column per class of such pairs and sees
+the ontic space only through the likelihood ratios: states outside the
+overlap, whose ratios are 0 or infinite, add only a few classes however many
+they are.  It returns either a witness, constant on each class and
+re-checked over the original pairs, or a dual certificate, checked over the
+original pairs in exact arithmetic, that bounds the violation every response
+function must incur; :func:`pbr_contradiction` is the independent analytic
+shortcut for the four-preparation scenario with a zero-outcome pairing that
+covers every outcome.
 """
 
 from __future__ import annotations
@@ -236,17 +241,45 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     return joints.reshape(-1, n, n), as_distributions(targs, "target row")
 
 
-def _assemble_equalities(flats, targs):
-    """Equality system A x = b over x[outcome, pair] >= 0 for the joint columns ``flats``.
+def _pair_classes(flats) -> tuple[np.ndarray, np.ndarray]:
+    """Class of each pair column of ``flats`` and the summed joints of each class.
 
-    The first ``pairs`` rows are the pointwise normalizations
-    ``sum_k x[k, pair] = 1``; then row ``p * k + out`` is the statistics
-    equality ``sum_pairs joint_p * x[out, .] = target_p[out]``.
+    Two pairs whose joints are proportional across the preparations have
+    equal likelihood ratios, and the LP cannot tell them apart: with masses
+    ``w_a`` and ``w_b``, the shared response ``(w_a xi_a + w_b xi_b) / (w_a +
+    w_b)`` on their summed column predicts what ``xi_a`` and ``xi_b`` predict
+    together.  Pairs whose profiles ``column / column.sum()`` are equal as
+    floats form a class.  Classes are numbered in order of their first pair,
+    so when no two pairs merge the columns are ``flats`` itself, in order.
     """
-    pairs, k = flats.shape[1], targs.shape[1]
-    normalization = np.tile(np.eye(pairs), k)
-    statistics = np.einsum("ab,pj->pabj", np.eye(k), flats).reshape(len(flats) * k, k * pairs)
-    return np.vstack([normalization, statistics]), np.concatenate([np.ones(pairs), np.ravel(targs)])
+    profiles = np.ascontiguousarray((flats / flats.sum(axis=0)).T)
+    classes: dict[bytes, int] = {}
+    keys = profiles.view(f"V{profiles[0].nbytes}").ravel().tolist()  # one bytes key per pair
+    label = np.array([classes.setdefault(key, len(classes)) for key in keys])
+    if len(classes) == len(keys):
+        return label, flats
+    return label, flats @ (label[:, None] == np.arange(len(classes)))
+
+
+def _assemble_equalities(columns, targs):
+    """Elastic equality system ``A z = b`` over ``z = (x, s+, s-) >= 0``, one column of ``x`` per class.
+
+    ``columns[p, c]`` is the summed joint of class ``c`` under preparation
+    ``p``, and ``x[outcome, c]`` the response shared by the pairs of class
+    ``c``; so the LP sees the ontic space only through the likelihood ratios
+    that tell the classes apart.  The first ``classes`` rows are the
+    pointwise normalizations ``sum_k x[k, c] = 1``; then row ``p * k + out``
+    is the statistics equality ``sum_c columns[p, c] * x[out, c] + s+ - s- =
+    target_p[out]``, with its own slack pair.
+    """
+    classes, k, stats = columns.shape[1], targs.shape[1], targs.size
+    a_eq = np.zeros((classes + stats, k * classes + 2 * stats))
+    for out in range(k):
+        np.fill_diagonal(a_eq[:classes, out * classes :], 1.0)
+        a_eq[classes + out :: k, out * classes : (out + 1) * classes] = columns
+    np.fill_diagonal(a_eq[classes:, k * classes :], 1.0)
+    np.fill_diagonal(a_eq[classes:, k * classes + stats :], -1.0)
+    return a_eq, np.concatenate([np.ones(classes), np.ravel(targs)])
 
 
 def _misses(joints, targs, table) -> np.ndarray:
@@ -307,16 +340,25 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     LP, ``min 1.(s+ + s-)`` subject to the normalizations and
     ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``, finds the minimal total
     violation of the statistics equalities over all response functions, and
-    ``EPS_LP`` bounds that minimum for both verdicts:
+    ``EPS_LP`` bounds that minimum for both verdicts.  The LP has one column
+    per class of reached pairs with proportional joints (see
+    :func:`_pair_classes`), so ``x`` holds one response row per class:
 
-    * feasible when the optimal ``x``, rows renormalized, misses the
-      statistics by at most ``EPS_LP`` in total when substituted back; it is the
-      witness (pairs that no preparation reaches answer uniformly), and
-      ``max_residual`` its largest residual over every constraint;
-    * infeasible when the statistics duals prove, in exact arithmetic, that
-      every response function misses them by more than ``EPS_LP`` in total
-      (``violation_bound``); ``violated_constraint`` names the row the optimal
-      ``x`` misses most.
+    * feasible when the optimal ``x``, each class's row given to every pair of
+      the class and rows renormalized, misses the statistics by at most
+      ``EPS_LP`` in total when substituted back over the original joints; it
+      is the witness, constant on each class (pairs that no preparation
+      reaches answer uniformly), and ``max_residual`` its largest residual
+      over every constraint;
+    * infeasible when the statistics duals prove, in exact arithmetic over the
+      original pairs, that every response function misses them by more than
+      ``EPS_LP`` in total (``violation_bound``); ``violated_constraint`` names
+      the row the optimal ``x`` misses most.
+
+    Classes are found by float equality, which does not make the joints of a
+    class exactly proportional, and a bound proved over classes would hold
+    only if they were; checking both verdicts over the original pairs keeps
+    them proved.
 
     Raises :class:`PbrCheckError` when the solver fails or its answer supports
     neither verdict.  Near the threshold this decision and
@@ -329,26 +371,26 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     # the LP and answer uniformly.
     reached = np.flatnonzero(np.any(flats != 0.0, axis=0))
     flats = flats[:, reached]
-    a_eq, b_eq = _assemble_equalities(flats, targs)
-    m, n_vars = a_eq.shape
-    pairs = reached.size
-    slack = np.eye(m)[:, pairs:]
+    label, columns = _pair_classes(flats)
+    classes = columns.shape[1]
+    a_eq, b_eq = _assemble_equalities(columns, targs)
     # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
     # resolve violations far below EPS_LP.
-    cost = np.concatenate([np.zeros(n_vars), np.full(2 * (m - pairs), 1.0 / EPS_LP)])
+    cost = np.concatenate([np.zeros(k * classes), np.full(2 * targs.size, 1.0 / EPS_LP)])
     from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
 
-    res = linprog(cost, A_eq=np.hstack([a_eq, slack, -slack]), b_eq=b_eq, bounds=(0.0, None), method="highs")
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise PbrCheckError(f"LP solver failed: {res.message}")
     rows = np.full((n * n, k), 1.0 / k)
-    rows[reached] = np.maximum(res.x[:n_vars].reshape(k, pairs).T, 0.0)
+    # Each reached pair takes its class's row.
+    rows[reached] = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
     table = (rows / rows.sum(axis=1, keepdims=True)).reshape(n, n, k)
     misses = np.abs(_misses(joints, targs, table))
     if misses.sum() <= EPS_LP:
         witness = ResponseFunction(table)
         return FeasibilityVerdict(True, witness=witness, max_residual=_max_residual(joints, targs, witness.table))
-    y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
+    y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
     bound = _certified_bound(flats, targs, y)
     if bound <= EPS_LP:
         raise PbrCheckError(

@@ -156,7 +156,7 @@ class ProbabilityTable:
         )
         if payload["zero_flags"] != table.zero_flags.tolist():
             raise DomainError("serialized zero_flags do not match the probabilities")
-        if not np.allclose(payload["row_sums"], table.row_sums(), rtol=0.0, atol=0.0):
+        if not np.array_equal(payload["row_sums"], table.row_sums()):
             raise DomainError("serialized row_sums do not match the probabilities")
         return table
 

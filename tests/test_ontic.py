@@ -268,6 +268,13 @@ class TestFeasibility:
             assert np.all(np.abs(verdict.certificate) <= 1.0)
             assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
 
+    def test_one_reached_pair(self):
+        """Both devices always emit the same state, so one pair carries every joint."""
+        preparations, targets = pbr_instance(*overlap_pair(OnticSpace(3), 1.0))
+        verdict = feasibility(preparations, targets)
+        assert not verdict.feasible
+        assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
+
     def test_single_preparation_uniform_target_is_feasible(self):
         """Any overlapping device distribution supports the constant-1/4 witness."""
         space = OnticSpace(5)
@@ -386,27 +393,54 @@ def test_every_layer_accepts_the_same_rows(row):
 # --- feasibility on edge inputs ---
 
 
-@st.composite
-def instances(draw, disjoint=False):
-    """Joints and targets of the pbr or mz scenario from two drawn distributions.
+#: Shares (a, 1 - a) whose second is exactly 2**j times the first as floats, so
+#: that every pair with one copy of a split state has a joint exactly 2**j times
+#: the joint of the same pair with the other copy.
+EXACT_SHARES = ((1 / 2, 1 / 2), (1 / 3, 2 / 3), (1 / 5, 4 / 5), (1 / 9, 8 / 9))
+SHARES = st.one_of(st.sampled_from(EXACT_SHARES), st.floats(0.05, 0.95).map(lambda a: (a, 1.0 - a)))
 
-    The masses carry dust at 1e-13 and 1e-11 and sums off 1 by up to
-    0.99 * EPS_PROB; with ``disjoint`` their supports are split at a drawn index.
-    """
+
+def split_state(mass, state, shares):
+    """``mass`` with ``state`` split in two copies: ``a * mass[state]`` stays, ``(1 - a) * mass[state]`` is appended."""
+    a, b = shares
+    return np.append(np.where(np.arange(mass.size) == state, a * mass, mass), b * mass[state])
+
+
+@st.composite
+def mass_pairs(draw, disjoint=False):
+    """Two masses on 2 to 8 states, with dust at 1e-13 and 1e-11 and sums off 1
+    by up to 0.99 * EPS_PROB; with ``disjoint`` their supports are split at a
+    drawn index."""
     n = draw(st.integers(2, 8))
-    space = OnticSpace(n)
     if disjoint:
         split = draw(st.integers(1, n - 1))
         m0 = np.concatenate([draw(distributions(split)), np.zeros(n - split)])
         m1 = np.concatenate([np.zeros(split), draw(distributions(n - split))])
-    else:
-        m0, m1 = draw(distributions(n)), draw(distributions(n))
+        return m0, m1
+    return draw(distributions(n)), draw(distributions(n))
+
+
+def scenario_instance(m0, m1, pbr):
+    """Joints and targets of the pbr scenario on ``m0``, ``m1`` or of the mz scenario on their mixture."""
+    space = OnticSpace(m0.size)
     mu0, mu1 = EpistemicDistribution(space, m0), EpistemicDistribution(space, m1)
-    if disjoint or draw(st.booleans()):
-        setup, devices = pbr_scenario(), (mu0, mu1)
-    else:
-        setup, devices = mz_scenario(), (mixture(mu0, mu1),)
+    setup, devices = (pbr_scenario(), (mu0, mu1)) if pbr else (mz_scenario(), (mixture(mu0, mu1),))
     return [joint(a, b) for a, b in setup.device_pairs(*devices)], list(setup.targets)
+
+
+@st.composite
+def instances(draw, disjoint=False):
+    """Joints and targets of the pbr or mz scenario from two drawn distributions.
+
+    The masses come from :func:`mass_pairs`.  Half of the time one ontic state
+    is split in two copies alike in both distributions, so that pairs whose
+    joints are proportional, or nearly so, meet the merge in the LP.
+    """
+    m0, m1 = draw(mass_pairs(disjoint))
+    if draw(st.booleans()):
+        state, shares = draw(st.integers(0, m0.size - 1)), draw(SHARES)
+        m0, m1 = split_state(m0, state, shares), split_state(m1, state, shares)
+    return scenario_instance(m0, m1, disjoint or draw(st.booleans()))
 
 
 @settings(deadline=None, max_examples=150)
@@ -424,6 +458,24 @@ def test_every_instance_gets_a_checked_verdict(instance):
 @given(instances(disjoint=True))
 def test_disjoint_supports_are_feasible(instance):
     assert feasibility(*instance).feasible
+
+
+@settings(deadline=None, max_examples=100)
+@given(mass_pairs(), st.booleans(), st.data())
+def test_splitting_a_state_keeps_the_verdict(masses, pbr, data):
+    """A state split in exact shares changes no verdict, and both copies answer alike."""
+    m0, m1 = masses
+    state, shares = data.draw(st.integers(0, m0.size - 1)), data.draw(st.sampled_from(EXACT_SHARES))
+    whole = feasibility(*scenario_instance(m0, m1, pbr))
+    preparations, targets = scenario_instance(split_state(m0, state, shares), split_state(m1, state, shares), pbr)
+    verdict = feasibility(preparations, targets)
+    assert verdict.feasible == whole.feasible
+    if verdict.feasible:
+        table = verdict.witness.table
+        np.testing.assert_array_equal(table[state], table[-1])
+        np.testing.assert_array_equal(table[:, state], table[:, -1])
+    else:
+        assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
 
 
 # --- Monte Carlo ---

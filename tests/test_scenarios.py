@@ -259,6 +259,15 @@ class TestProbabilityTable:
         with pytest.raises(DomainError):
             ProbabilityTable.from_dict(payload)
 
+    @pytest.mark.parametrize("row_sums", [[1.0], 1.0], ids=["truncated", "scalar"])
+    def test_from_dict_rejects_row_sums_of_another_shape(self, row_sums):
+        """Both rows sum to exactly 1.0, so only the shape gives these row_sums away."""
+        payload = ProbabilityTable(("a", "b"), ("x", "y"), np.array([[0.5, 0.5], [0.25, 0.75]])).to_dict()
+        assert payload["row_sums"] == [1.0, 1.0]
+        payload["row_sums"] = row_sums
+        with pytest.raises(DomainError, match="row_sums"):
+            ProbabilityTable.from_dict(payload)
+
     def test_rejects_non_distribution_rows(self):
         with pytest.raises(DomainError):
             ProbabilityTable(("r",), ("a", "b"), np.array([[0.7, 0.7]]))
