@@ -80,17 +80,30 @@ def _io_error(exc: OSError) -> int:
     return EXIT_IO
 
 
-def _emit(ctx, doc: ReportDocument) -> None:
+def _write(ctx, text: str) -> None:
     # Caught here, because click turns a broken pipe that reaches it into
     # sys.exit(1), even outside standalone mode.
     try:
-        click.echo(doc.render(ctx.obj["format"]), nl=False)
+        click.echo(text, nl=False)
     except OSError as exc:
         ctx.exit(_io_error(exc))
 
 
+def _emit(ctx, doc: ReportDocument) -> None:
+    _write(ctx, doc.render(ctx.obj["format"]))
+
+
+def _version(ctx, _param, value) -> None:
+    # Stands in for click.version_option, whose own write would turn a broken pipe into exit 1.
+    if value and not ctx.resilient_parsing:
+        _write(ctx, f"pbrcheck, version {__version__}\n")
+        ctx.exit()
+
+
 @click.group()
-@click.version_option(__version__, prog_name="pbrcheck")
+@click.option(
+    "--version", is_flag=True, expose_value=False, is_eager=True, callback=_version, help="Show the version and exit."
+)
 @click.option(
     "--format",
     "fmt",

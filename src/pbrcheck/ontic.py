@@ -14,12 +14,14 @@ actually reaches the detector.
 Whether such a model can reproduce given quantum statistics is a linear
 feasibility question in the response-function entries: nonnegativity,
 pointwise normalization, and one linear equality per (preparation, outcome).
-:func:`feasibility` decides it with one elastic LP solve.  Pairs whose joints
-are proportional across the preparations (equal likelihood ratios) are
-interchangeable, so the LP has one column per class of such pairs and sees
-the ontic space only through the likelihood ratios: states outside the
-overlap, whose ratios are 0 or infinite, add only a few classes however many
-they are.  It returns either a witness, constant on each class and
+Only overlap can make it fail: while no pair is reached by preparations that
+expect different statistics, answering each pair with the target row of the
+preparations reaching it is a witness.  Otherwise :func:`feasibility` decides
+with one elastic LP solve.  Pairs whose joints are proportional across the
+preparations (equal likelihood ratios) are interchangeable, so the LP has one
+column per class of such pairs and sees the ontic space only through the
+likelihood ratios: states outside the overlap, whose ratios are 0 or infinite,
+add only a few classes however many they are.  It returns either a witness,
 re-checked over the original pairs, or a dual certificate, checked over the
 original pairs in exact arithmetic, that bounds the violation every response
 function must incur; :func:`pbr_contradiction` is the independent analytic
@@ -331,25 +333,46 @@ def _certified_bound(flats, targs, y) -> Fraction:
     )
 
 
+def _witness(joints, targs, reached, rows) -> tuple[FeasibilityVerdict | None, np.ndarray]:
+    """Feasible verdict whose witness gives pair ``reached[i]`` the row ``rows[i]``, and its misses.
+
+    Rows are renormalized and unreached pairs answer uniformly.  The verdict
+    is None when the witness, substituted back over the original joints,
+    misses the statistics by more than ``EPS_LP`` in total.
+    """
+    n, k = joints.shape[1], targs.shape[1]
+    table = np.full((n * n, k), 1.0 / k)
+    table[reached] = rows
+    table = (table / table.sum(axis=1, keepdims=True)).reshape(n, n, k)
+    misses = np.abs(_misses(joints, targs, table))
+    if misses.sum() > EPS_LP:
+        return None, misses
+    witness = ResponseFunction(table)
+    return FeasibilityVerdict(True, witness=witness, max_residual=_max_residual(joints, targs, witness.table)), misses
+
+
 def feasibility(preparations, targets) -> FeasibilityVerdict:
     """Decide whether any response function reproduces the target statistics.
 
     Looks for ``xi(k | l1, l2) >= 0`` with pointwise sum 1 such that, for every
     preparation ``p`` and outcome ``k``,
-    ``sum_pairs joint_p(l1, l2) * xi(k | l1, l2) = target_p(k)``.  One elastic
-    LP, ``min 1.(s+ + s-)`` subject to the normalizations and
-    ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``, finds the minimal total
-    violation of the statistics equalities over all response functions, and
-    ``EPS_LP`` bounds that minimum for both verdicts.  The LP has one column
-    per class of reached pairs with proportional joints (see
-    :func:`_pair_classes`), so ``x`` holds one response row per class:
+    ``sum_pairs joint_p(l1, l2) * xi(k | l1, l2) = target_p(k)``.  The minimal
+    total violation of the statistics equalities over all response functions
+    decides, and ``EPS_LP`` bounds it for both verdicts.
+
+    Each reached pair first answers with the target row of the first
+    preparation that reaches it, which is exact when all preparations
+    reaching a pair expect the same row (disjoint supports, one preparation).
+    Only when that witness misses by more than ``EPS_LP``, in the overlap,
+    does one elastic LP run: ``min 1.(s+ + s-)`` subject to the
+    normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``.
+    The LP has one column per class of reached pairs with proportional joints
+    (see :func:`_pair_classes`), so ``x`` holds one response row per class:
 
     * feasible when the optimal ``x``, each class's row given to every pair of
-      the class and rows renormalized, misses the statistics by at most
-      ``EPS_LP`` in total when substituted back over the original joints; it
-      is the witness, constant on each class (pairs that no preparation
-      reaches answer uniformly), and ``max_residual`` its largest residual
-      over every constraint;
+      the class, passes the same check (see :func:`_witness`); it is the
+      witness, constant on each class, and ``max_residual`` its largest
+      residual over every constraint;
     * infeasible when the statistics duals prove, in exact arithmetic over the
       original pairs, that every response function misses them by more than
       ``EPS_LP`` in total (``violation_bound``); ``violated_constraint`` names
@@ -371,6 +394,9 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     # the LP and answer uniformly.
     reached = np.flatnonzero(np.any(flats != 0.0, axis=0))
     flats = flats[:, reached]
+    verdict, _ = _witness(joints, targs, reached, targs[np.argmax(flats != 0.0, axis=0)])
+    if verdict is not None:
+        return verdict
     label, columns = _pair_classes(flats)
     classes = columns.shape[1]
     a_eq, b_eq = _assemble_equalities(columns, targs)
@@ -382,14 +408,11 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise PbrCheckError(f"LP solver failed: {res.message}")
-    rows = np.full((n * n, k), 1.0 / k)
     # Each reached pair takes its class's row.
-    rows[reached] = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
-    table = (rows / rows.sum(axis=1, keepdims=True)).reshape(n, n, k)
-    misses = np.abs(_misses(joints, targs, table))
-    if misses.sum() <= EPS_LP:
-        witness = ResponseFunction(table)
-        return FeasibilityVerdict(True, witness=witness, max_residual=_max_residual(joints, targs, witness.table))
+    rows = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
+    verdict, misses = _witness(joints, targs, reached, rows)
+    if verdict is not None:
+        return verdict
     y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
     bound = _certified_bound(flats, targs, y)
     if bound <= EPS_LP:

@@ -132,6 +132,24 @@ def certified_violation_bound(joints, targets, duals) -> Fraction:
     return bound
 
 
+def witness_total_miss(joints, targets, table) -> Fraction:
+    """Total violation of the statistics under the response ``table``, in exact rationals.
+
+    sum_{p,k} |sum_pairs joint_p[pair] * table[pair][k] - target_p[k]|, every
+    float read exactly and summed by explicit loops.
+    """
+    size, k = len(joints[0]), len(targets[0])
+    total = Fraction(0)
+    for j, row in zip(joints, targets):
+        for out in range(k):
+            predicted = Fraction(0)
+            for l1 in range(size):
+                for l2 in range(size):
+                    predicted += Fraction(float(j[l1][l2])) * Fraction(float(table[l1][l2][out]))
+            total += abs(predicted - Fraction(float(row[out])))
+    return total
+
+
 def per_sample_block_counts(mass1, mass2, table, block, n_samples, root) -> np.ndarray:
     """Outcome counts of one sample block, drawn one sample at a time.
 

@@ -104,19 +104,21 @@ class TestExitCodes:
         assert sys.stdout is stdout
 
     def test_closed_pipe_reader_exits_two(self):
-        reader, writer = os.pipe()
-        os.close(reader)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "pbrcheck", "pbr-table"],
-                stdout=writer,
-                stderr=subprocess.PIPE,
-                env=child_env(),
-            )
-        finally:
-            os.close(writer)
-        assert proc.returncode == 2
-        assert b"I/O error" in proc.stderr
+        """A document and the version alike exit 2 and say why."""
+        for argv in (["pbr-table"], ["--version"]):
+            reader, writer = os.pipe()
+            os.close(reader)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pbrcheck", *argv],
+                    stdout=writer,
+                    stderr=subprocess.PIPE,
+                    env=child_env(),
+                )
+            finally:
+                os.close(writer)
+            assert proc.returncode == 2, argv
+            assert b"I/O error" in proc.stderr, argv
 
 
 # --- pbr-table ---
@@ -443,17 +445,24 @@ def test_entrypoint_flushes_what_main_leaves_pending(stream, argv, code):
 
 
 def test_only_lp_commands_import_scipy():
-    """scipy is loaded by the first LP verdict, and by nothing before it."""
+    """scipy is loaded by the first LP verdict, and by nothing before it.
+
+    Feasible verdicts whose witness needs no LP load none: disjoint supports
+    (pbr, q = 0) and the single mz preparation.  An overlapping pbr instance
+    solves the LP."""
     script = """
 import json, sys
 import pbrcheck
 from pbrcheck import cli
 loaded = {"import pbrcheck": "scipy" in sys.modules}
-for argv in (["--version"], ["pbr-table"], ["mz"], ["theta", "--theta", "1.0"], ["montecarlo", "--samples", "1000"]):
+for argv in (
+    ["--version"], ["pbr-table"], ["mz"], ["theta", "--theta", "1.0"], ["montecarlo", "--samples", "1000"],
+    ["feasibility"], ["feasibility", "--scenario", "mz", "--q", "0.5"],
+):
     cli.main(argv)
     loaded[" ".join(argv)] = "scipy" in sys.modules
-cli.main(["feasibility"])
-loaded["feasibility"] = "scipy.optimize" in sys.modules
+cli.main(["feasibility", "--q", "0.3"])
+loaded["feasibility --q 0.3"] = "scipy.optimize" in sys.modules
 print(json.dumps(loaded), file=sys.stderr)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
@@ -466,5 +475,7 @@ print(json.dumps(loaded), file=sys.stderr)
         "mz": False,
         "theta --theta 1.0": False,
         "montecarlo --samples 1000": False,
-        "feasibility": True,
+        "feasibility": False,
+        "feasibility --scenario mz --q 0.5": False,
+        "feasibility --q 0.3": True,
     }

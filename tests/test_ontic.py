@@ -1,5 +1,6 @@
 """Tests for the ontological-model layer."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -353,6 +354,56 @@ class TestFeasibility:
         assert feasibility([joint(a, a)], [np.full(4, 0.25)]).feasible
 
 
+@contextlib.contextmanager
+def counted_linprog():
+    """The list of calls made to ``scipy.optimize.linprog`` inside the block."""
+    import scipy.optimize
+
+    calls, solve = [], scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    scipy.optimize.linprog = counted
+    try:
+        yield calls
+    finally:
+        scipy.optimize.linprog = solve
+
+
+class TestLpCalls:
+    """The LP runs only when preparations that expect different rows reach a common pair."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_disjoint_pbr_instances_solve_no_lp(self, n):
+        preparations, targets = pbr_instance(*overlap_pair(OnticSpace(n), 0.0))
+        with counted_linprog() as calls:
+            verdict = feasibility(preparations, targets)
+        assert (len(calls), verdict.feasible) == (0, True)
+        assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("q", [0.0, 1e-4, 0.5, 1.0])
+    def test_single_preparation_instances_solve_no_lp(self, n, q):
+        """The mz preparation, with its own target row or with a Born row that has a zero."""
+        m0, m1 = (mu.mass for mu in overlap_pair(OnticSpace(n), q))
+        preparations, mz_targets = scenario_instance(m0, m1, pbr=False)
+        for targets in (mz_targets, [pbr_target_rows()[0]]):
+            with counted_linprog() as calls:
+                verdict = feasibility(preparations, targets)
+            assert (len(calls), verdict.feasible) == (0, True)
+            assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("q, feasible", [(1e-4, True), (1e-3, False), (0.3, False), (1.0, False)])
+    def test_overlapping_pbr_instances_solve_one_lp(self, n, q, feasible):
+        preparations, targets = pbr_instance(*overlap_pair(OnticSpace(n), q))
+        with counted_linprog() as calls:
+            verdict = feasibility(preparations, targets)
+        assert (len(calls), verdict.feasible) == (1, feasible)
+
+
 # --- one rule for probability rows ---
 
 
@@ -452,6 +503,17 @@ def test_every_instance_gets_a_checked_verdict(instance):
         assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
     else:
         assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
+
+
+@settings(deadline=None, max_examples=100)
+@given(instances())
+def test_a_verdict_without_an_lp_is_a_witness_checked_exactly(instance):
+    preparations, targets = instance
+    with counted_linprog() as calls:
+        verdict = feasibility(preparations, targets)
+    if not calls:
+        assert verdict.feasible
+        assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
 
 
 @settings(deadline=None, max_examples=60)
