@@ -4,20 +4,21 @@ Every subcommand prints one report document to stdout (text, JSON or CSV) and
 signals its verdict through the exit code:
 
     0  success / feasible
-    1  usage error (bad parameters)
-    2  I/O error: any failed write of the document, including a full disk
-       and a closed pipe
+    1  usage error: anything argparse rejects, and a parameter outside its
+       domain (a ``DomainError`` while the parameters become objects)
+    2  I/O error: any failed write of the document, the help or the version,
+       including a full disk and a closed pipe
     3  check failed (infeasible, or a verified property did not hold)
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import statistics
 import sys
 
-import click
 import numpy as np
 
 from . import __version__
@@ -58,116 +59,97 @@ EXIT_IO = 2
 EXIT_CHECK_FAILED = 3
 
 
-def _metadata(ctx, seed=None, **parameters) -> dict:
+class _Exit(Exception):
+    """``(code, text)``: ``main`` writes ``text`` to stderr and returns ``code``, where argparse would exit."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # Every parser, subcommands included, takes exactly the spellings it
+    # declares: no -h, and no prefixes such as --lam.
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this help and exit")
+
+    def _print_message(self, message, file=None):
+        _write(message)  # only ever help and --version, both for stdout
+
+    def exit(self, status=0, message=None):
+        raise _Exit(status, message or "")
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _metadata(args, seed=None, **parameters) -> dict:
     return {
         "version": __version__,
         "seed": seed,
         "tolerances": {
             "norm": EPS_NORM,
             "prob": EPS_PROB,
-            "zero_flag": ctx.obj["tolerance"],
+            "zero_flag": args.tolerance,
             "lp": EPS_LP,
         },
         "parameters": parameters,
     }
 
 
-def _io_error(exc: OSError) -> int:
-    try:
-        print(f"pbrcheck: I/O error: {exc}", file=sys.stderr)
-    except OSError:
-        pass
-    return EXIT_IO
+def _write(text: str) -> None:
+    """Write and flush to stdout; a failed write raises ``OSError`` into ``main``."""
+    if sys.stdout is not None:  # None when fd 1 was closed at start: nothing to write to
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
-def _write(ctx, text: str) -> None:
-    # Caught here, because click turns a broken pipe that reaches it into
-    # sys.exit(1), even outside standalone mode.
-    try:
-        click.echo(text, nl=False)
-    except OSError as exc:
-        ctx.exit(_io_error(exc))
+def _emit(args, doc: ReportDocument, ok: bool) -> int:
+    _write(doc.render(args.format))
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _emit(ctx, doc: ReportDocument) -> None:
-    _write(ctx, doc.render(ctx.obj["format"]))
-
-
-def _version(ctx, _param, value) -> None:
-    # Stands in for click.version_option, whose own write would turn a broken pipe into exit 1.
-    if value and not ctx.resilient_parsing:
-        _write(ctx, f"pbrcheck, version {__version__}\n")
-        ctx.exit()
-
-
-@click.group()
-@click.option(
-    "--version", is_flag=True, expose_value=False, is_eager=True, callback=_version, help="Show the version and exit."
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-    help="Output format; JSON is the canonical machine format.",
-)
-@click.option(
-    "--tolerance",
-    type=float,
-    default=None,
-    help=f"Zero-flag display threshold (display only; default {EPS_PROB}).",
-)
-@click.pass_context
-def cli(ctx, fmt, tolerance):
-    """Check which preparation scenarios admit overlapping epistemic models."""
-    if tolerance is None:
-        tolerance = EPS_PROB
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise click.UsageError(f"--tolerance must be a positive finite number, got {tolerance}")
-    ctx.obj = {"format": fmt, "tolerance": tolerance}
-
-
-@cli.command("pbr-table")
-@click.pass_context
-def pbr_table_cmd(ctx):
+def pbr_table_cmd(args) -> int:
     """Born table of the four announced product preparations against the xi basis.
 
     Exits 0 iff the zero pattern is exactly the expected preparation/outcome
     pairing (the diagonal), 3 otherwise.
     """
-    table = zero_outcome_table(zero_threshold=ctx.obj["tolerance"])
+    table = zero_outcome_table(zero_threshold=args.tolerance)
     flagged = {(row, col) for row, col in np.argwhere(table.zero_flags).tolist()}
     pattern_ok = flagged == set(ZERO_PAIRING)
     doc = ReportDocument(
         scenario="pbr-table",
         tables=[table],
-        metadata=_metadata(ctx),
+        metadata=_metadata(args),
         extras={
             "zero_flag_count": int(table.zero_flags.sum()),
             "zero_pattern_matches_pairing": pattern_ok,
         },
     )
-    _emit(ctx, doc)
-    if not pattern_ok:
-        ctx.exit(EXIT_CHECK_FAILED)
+    return _emit(args, doc, pattern_ok)
 
 
-@cli.command("mz")
-@click.pass_context
-def mz_cmd(ctx):
+def mz_cmd(args) -> int:
     """Which-way-free (Mach-Zehnder) preparation: state, normalization, compatibility.
 
     Exits 0 iff all four outcome probabilities exceed the zero-flag threshold.
     """
     setup = mz_scenario()
-    table = setup.table(setup.targets, ctx.obj["tolerance"], "Psi vs measurement basis")
+    table = setup.table(setup.targets, args.tolerance, "Psi vs measurement basis")
     psi = mz_preparation_state()
     joint_state = mz_joint_state()
     doc = ReportDocument(
         scenario="mz",
         tables=[table],
-        metadata=_metadata(ctx),
+        metadata=_metadata(args),
         extras={
             "normalization_sq": mz_normalization_sq(),
             "preparation_amplitudes": [[z.real, z.imag] for z in psi],
@@ -175,52 +157,37 @@ def mz_cmd(ctx):
             "verdict": "compatible" if table.compatible else "incompatible",
         },
     )
-    _emit(ctx, doc)
-    if not table.compatible:
-        ctx.exit(EXIT_CHECK_FAILED)
+    return _emit(args, doc, table.compatible)
 
 
-@cli.command("theta")
-@click.option("--theta", required=True, type=float, help="Pair angle in radians, strictly inside (0, pi).")
-@click.pass_context
-def theta_cmd(ctx, theta):
+def theta_cmd(args) -> int:
     """Overlap and xi-basis Born table for the tunable state pair."""
     try:
-        pair = theta_pair(theta)
+        pair = theta_pair(args.theta)
     except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-    table = theta_table(pair, zero_threshold=ctx.obj["tolerance"])
+        args.parser.error(str(exc))
+    table = theta_table(pair, zero_threshold=args.tolerance)
     doc = ReportDocument(
         scenario="theta",
         tables=[table],
-        metadata=_metadata(ctx, theta=theta),
+        metadata=_metadata(args, theta=args.theta),
         extras={"theta": pair.theta, "overlap": pair.overlap},
     )
-    _emit(ctx, doc)
+    return _emit(args, doc, True)
 
 
-@cli.command("feasibility")
-@click.option("--scenario", type=click.Choice(["pbr", "mz"]), default="pbr", show_default=True)
-@click.option("--lambda-size", type=int, default=4, show_default=True, help="Number of ontic states (1..8).")
-@click.option("--q", type=float, default=0.0, show_default=True, help="Total-variation overlap of the two distributions.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.pass_context
-def feasibility_cmd(ctx, scenario, lambda_size, q, seed):
+def feasibility_cmd(args) -> int:
     """Can an epistemic model with the given overlap reproduce the quantum statistics?
 
     Exits 0 when feasible, 3 when infeasible.  For ``--scenario pbr`` the
     document also says whether the LP verdict agrees with the analytic
     predicate (``agreement``); it exits 3 when they disagree.
     """
-    if not 1 <= lambda_size <= 8:
-        raise click.UsageError(f"--lambda-size must lie in [1, 8], got {lambda_size}")
-    if not 0.0 <= q <= 1.0:
-        raise click.UsageError(f"--q must lie in [0, 1], got {q}")
-    space = OnticSpace(lambda_size)
+    scenario, lambda_size, q = args.scenario, args.lambda_size, args.q
     try:
-        mu0, mu1 = overlap_pair(space, q)
+        mu0, mu1 = overlap_pair(OnticSpace(lambda_size), q)
     except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+        args.parser.error(str(exc))
     if scenario == "pbr":
         setup, devices = pbr_scenario(), (mu0, mu1)
     else:
@@ -241,30 +208,22 @@ def feasibility_cmd(ctx, scenario, lambda_size, q, seed):
         extras["agreement"] = verdict.feasible != predicted
     doc = ReportDocument(
         scenario=f"feasibility-{scenario}",
-        tables=[setup.table(setup.targets, ctx.obj["tolerance"], "target statistics")],
+        tables=[setup.table(setup.targets, args.tolerance, "target statistics")],
         verdicts=[verdict_summary("epistemic-model-lp", verdict)],
-        metadata=_metadata(ctx, seed=seed, scenario=scenario, lambda_size=lambda_size, q=q),
+        metadata=_metadata(args, seed=args.seed, scenario=scenario, lambda_size=lambda_size, q=q),
         extras=extras,
     )
-    _emit(ctx, doc)
-    if not (verdict.feasible and extras.get("agreement", True)):
-        ctx.exit(EXIT_CHECK_FAILED)
+    return _emit(args, doc, verdict.feasible and extras.get("agreement", True))
 
 
-@cli.command("montecarlo")
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--model", type=click.Choice(["psi-ontic", "mz-constant"]), default="psi-ontic", show_default=True)
-@click.pass_context
-def montecarlo_cmd(ctx, samples, seed, model):
+def montecarlo_cmd(args) -> int:
     """Sample a model and compare empirical frequencies with the targets.
 
     Exits 0 iff every deviation stays within z binomial standard deviations,
     where z gives a correct sampler a 0.27% chance of a miss on any of its m
     non-degenerate cells together (two-sided, Bonferroni over the m cells).
     """
-    if samples < 1:
-        raise click.UsageError(f"--samples must be at least 1, got {samples}")
+    samples, seed, model = args.samples, args.seed, args.model
     if model == "psi-ontic":
         setup = pbr_scenario()
         space = OnticSpace(2)
@@ -276,25 +235,28 @@ def montecarlo_cmd(ctx, samples, seed, model):
         device_pairs = setup.device_pairs(uniform(space))
         response = constant_response(space.size, setup.targets[0])
     targets = setup.targets
-    empirical = np.array(
-        [
-            monte_carlo(mu_a, mu_b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            for i, (mu_a, mu_b) in enumerate(device_pairs)
-        ]
-    )
+    try:  # monte_carlo checks the sample count before it draws
+        empirical = np.array(
+            [
+                monte_carlo(mu_a, mu_b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                for i, (mu_a, mu_b) in enumerate(device_pairs)
+            ]
+        )
+    except DomainError as exc:
+        args.parser.error(str(exc))
     cells = int(np.count_nonzero((targets > EPS_ZERO) & (targets < 1.0 - EPS_ZERO)))
     z = statistics.NormalDist().inv_cdf(1.0 - 0.0027 / (2 * cells))
     bounds = z * np.sqrt(targets * (1.0 - targets) / samples)
     deviations = np.abs(empirical - targets)
     within = bool(np.all(deviations <= bounds))
-    tol = ctx.obj["tolerance"]
+    tol = args.tolerance
     doc = ReportDocument(
         scenario=f"montecarlo-{model}",
         tables=[
             setup.table(empirical, tol, "empirical frequencies"),
             setup.table(targets, tol, "target distributions"),
         ],
-        metadata=_metadata(ctx, seed=seed, samples=samples, model=model),
+        metadata=_metadata(args, seed=seed, samples=samples, model=model),
         extras={
             "max_abs_deviation": float(deviations.max()),
             "z": z,
@@ -302,27 +264,55 @@ def montecarlo_cmd(ctx, samples, seed, model):
             "within_bounds": within,
         },
     )
-    _emit(ctx, doc)
-    if not within:
-        ctx.exit(EXIT_CHECK_FAILED)
+    return _emit(args, doc, within)
+
+
+def _parser() -> _Parser:
+    default = " (default: %(default)s)"
+    parser = _Parser(
+        prog="pbrcheck", description="Check which preparation scenarios admit overlapping epistemic models."
+    )
+    parser.add_argument("--version", action="version", version=f"pbrcheck, version {__version__}")
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text", help="JSON is canonical" + default)
+    parser.add_argument("--tolerance", type=_tolerance, default=EPS_PROB, help="zero-flag display threshold" + default)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=(run.__doc__ or "").partition("\n")[0], description=run.__doc__)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    command("pbr-table", pbr_table_cmd)
+    command("mz", mz_cmd)
+    theta = command("theta", theta_cmd)
+    theta.add_argument("--theta", type=float, required=True, help="pair angle in radians, strictly inside (0, pi)")
+    feasibility = command("feasibility", feasibility_cmd)
+    feasibility.add_argument("--scenario", choices=("pbr", "mz"), default="pbr", help=default)
+    feasibility.add_argument("--lambda-size", type=int, choices=range(1, 9), default=4, metavar="1..8", help=default)
+    feasibility.add_argument("--q", type=float, default=0.0, help="total-variation overlap of the pair" + default)
+    feasibility.add_argument("--seed", type=int, default=0, help="recorded in the metadata only" + default)
+    montecarlo = command("montecarlo", montecarlo_cmd)
+    montecarlo.add_argument("--samples", type=int, default=100_000, help=default)
+    montecarlo.add_argument("--seed", type=int, default=0, help=default)
+    montecarlo.add_argument("--model", choices=("psi-ontic", "mz-constant"), default="psi-ontic", help=default)
+    return parser
 
 
 def main(argv=None) -> int:
-    """Dispatch the CLI, mapping every outcome onto the documented exit codes."""
+    """Run one command and return its exit code; never raises ``SystemExit``."""
     try:
-        # In non-standalone mode click returns ctx.exit codes instead of
-        # raising SystemExit.
-        rv = cli.main(args=argv, standalone_mode=False, prog_name="pbrcheck")
-        if isinstance(rv, int):
-            return rv
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.Abort:
-        return EXIT_USAGE
+        args = _parser().parse_args(argv)
+        return args.run(args)
+    except _Exit as stop:
+        code, text = stop.args
     except OSError as exc:
-        return _io_error(exc)
-    return EXIT_OK
+        code, text = EXIT_IO, f"pbrcheck: I/O error: {exc}\n"
+    if sys.stderr is not None:  # None when fd 2 was closed at start
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            pass
+    return code
 
 
 def entrypoint() -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pbrcheck
 from pbrcheck import (
     EPS_ZERO,
     OnticSpace,
@@ -62,7 +63,7 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run(capsys, "no-such-command")
         assert code == 1
-        assert "Usage" in err or "Error" in err
+        assert "usage: pbrcheck" in err
 
     def test_unknown_option_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "pbr-table", "--bogus")
@@ -71,7 +72,7 @@ class TestExitCodes:
     def test_bad_theta_is_usage_error(self, capsys):
         code, _, err = run(capsys, "theta", "--theta", "3.5")
         assert code == 1
-        assert "Usage" in err
+        assert "usage: pbrcheck" in err
 
     def test_bad_lambda_size_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "feasibility", "--lambda-size", "9")
@@ -104,8 +105,8 @@ class TestExitCodes:
         assert sys.stdout is stdout
 
     def test_closed_pipe_reader_exits_two(self):
-        """A document and the version alike exit 2 and say why."""
-        for argv in (["pbr-table"], ["--version"]):
+        """A document, the version and the help alike exit 2 and say why."""
+        for argv in (["pbr-table"], ["--version"], ["--help"], ["feasibility", "--help"]):
             reader, writer = os.pipe()
             os.close(reader)
             try:
@@ -119,6 +120,44 @@ class TestExitCodes:
                 os.close(writer)
             assert proc.returncode == 2, argv
             assert b"I/O error" in proc.stderr, argv
+
+
+USAGE_ERRORS = [
+    ("--format xml pbr-table", "invalid choice: 'xml'"),
+    *((f"--tolerance {t} pbr-table", "must be a positive finite number") for t in ("-1", "0", "nan", "inf")),
+    ("feasibility --lambda-size 0", "invalid choice: 0"),
+    ("feasibility --lambda-size 9", "invalid choice: 9"),
+    *((f"feasibility --q {q}", "overlap q must lie in [0, 1]") for q in ("-0.1", "1.5", "nan")),
+    ("feasibility --lambda-size 2 --q 0.5", "at least 3 ontic states"),
+    ("montecarlo --samples 0", "samples must be a positive integer"),
+    ("theta", "required: --theta"),
+    ("--lam 4 pbr-table", "invalid choice: '4'"),
+    ("feasibility --lam 5", "unrecognized arguments: --lam 5"),
+    ("", "required: COMMAND"),
+    ("--format json", "required: COMMAND"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", USAGE_ERRORS, ids=[argv or "no command" for argv, _ in USAGE_ERRORS])
+def test_usage_error_exits_one_with_usage_and_reason(capsys, argv, reason):
+    """Whether argparse or a parameter's domain rejects it, a usage error prints
+    nothing on stdout, and on stderr a usage line and an error line that says why."""
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: pbrcheck")
+    assert lines[-1].startswith("pbrcheck") and ": error: " in lines[-1] and reason in lines[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["feasibility", "--help"]], ids=" ".join)
+def test_help_returns_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: pbrcheck")
+
+
+def test_version_wins_over_a_following_command(capsys):
+    assert run(capsys, "--version", "pbr-table") == (0, f"pbrcheck, version {pbrcheck.__version__}\n", "")
 
 
 # --- pbr-table ---
@@ -449,7 +488,7 @@ def test_only_lp_commands_import_scipy():
 
     Feasible verdicts whose witness needs no LP load none: disjoint supports
     (pbr, q = 0) and the single mz preparation.  An overlapping pbr instance
-    solves the LP."""
+    solves the LP.  No command loads click."""
     script = """
 import json, sys
 import pbrcheck
@@ -463,6 +502,7 @@ for argv in (
     loaded[" ".join(argv)] = "scipy" in sys.modules
 cli.main(["feasibility", "--q", "0.3"])
 loaded["feasibility --q 0.3"] = "scipy.optimize" in sys.modules
+loaded["click"] = "click" in sys.modules
 print(json.dumps(loaded), file=sys.stderr)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
@@ -478,4 +518,5 @@ print(json.dumps(loaded), file=sys.stderr)
         "feasibility": False,
         "feasibility --scenario mz --q 0.5": False,
         "feasibility --q 0.3": True,
+        "click": False,
     }
