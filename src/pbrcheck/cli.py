@@ -5,7 +5,7 @@ signals its verdict through the exit code:
 
     0  success / feasible
     1  usage error: anything argparse rejects, and a parameter outside its
-       domain (a ``DomainError`` while the parameters become objects)
+       domain (a ``DomainError`` raised by any command)
     2  I/O error: any failed write of the document, the help or the version,
        including a full disk and a closed pipe
     3  check failed (infeasible, or a verified property did not hold)
@@ -162,10 +162,7 @@ def mz_cmd(args) -> int:
 
 def theta_cmd(args) -> int:
     """Overlap and xi-basis Born table for the tunable state pair."""
-    try:
-        pair = theta_pair(args.theta)
-    except DomainError as exc:
-        args.parser.error(str(exc))
+    pair = theta_pair(args.theta)
     table = theta_table(pair, zero_threshold=args.tolerance)
     doc = ReportDocument(
         scenario="theta",
@@ -184,10 +181,7 @@ def feasibility_cmd(args) -> int:
     predicate (``agreement``); it exits 3 when they disagree.
     """
     scenario, lambda_size, q = args.scenario, args.lambda_size, args.q
-    try:
-        mu0, mu1 = overlap_pair(OnticSpace(lambda_size), q)
-    except DomainError as exc:
-        args.parser.error(str(exc))
+    mu0, mu1 = overlap_pair(OnticSpace(lambda_size), q)
     if scenario == "pbr":
         setup, devices = pbr_scenario(), (mu0, mu1)
     else:
@@ -224,6 +218,8 @@ def montecarlo_cmd(args) -> int:
     non-degenerate cells together (two-sided, Bonferroni over the m cells).
     """
     samples, seed, model = args.samples, args.seed, args.model
+    if seed < 0:  # each device pair draws from its own SeedSequence, built here
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     if model == "psi-ontic":
         setup = pbr_scenario()
         space = OnticSpace(2)
@@ -235,15 +231,12 @@ def montecarlo_cmd(args) -> int:
         device_pairs = setup.device_pairs(uniform(space))
         response = constant_response(space.size, setup.targets[0])
     targets = setup.targets
-    try:  # monte_carlo checks the sample count before it draws
-        empirical = np.array(
-            [
-                monte_carlo(mu_a, mu_b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-                for i, (mu_a, mu_b) in enumerate(device_pairs)
-            ]
-        )
-    except DomainError as exc:
-        args.parser.error(str(exc))
+    empirical = np.array(
+        [
+            monte_carlo(mu_a, mu_b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            for i, (mu_a, mu_b) in enumerate(device_pairs)
+        ]
+    )
     cells = int(np.count_nonzero((targets > EPS_ZERO) & (targets < 1.0 - EPS_ZERO)))
     z = statistics.NormalDist().inv_cdf(1.0 - 0.0027 / (2 * cells))
     bounds = z * np.sqrt(targets * (1.0 - targets) / samples)
@@ -302,7 +295,10 @@ def main(argv=None) -> int:
     """Run one command and return its exit code; never raises ``SystemExit``."""
     try:
         args = _parser().parse_args(argv)
-        return args.run(args)
+        try:
+            return args.run(args)
+        except DomainError as exc:  # commands write only at the end, so nothing is on stdout yet
+            args.parser.error(str(exc))
     except _Exit as stop:
         code, text = stop.args
     except OSError as exc:

@@ -284,25 +284,6 @@ def _assemble_equalities(columns, targs):
     return a_eq, np.concatenate([np.ones(classes), np.ravel(targs)])
 
 
-def _misses(joints, targs, table) -> np.ndarray:
-    """Predicted minus target probability, one entry per (preparation, outcome)."""
-    return np.einsum("pij,ijk->pk", joints, table) - targs
-
-
-def _max_residual(joints, targs, table) -> float:
-    """Largest residual of every normalization and statistics equality under ``table``."""
-    worst = float(np.max(np.abs(table.sum(axis=2) - 1.0)))
-    return max(worst, float(np.max(np.abs(_misses(joints, targs, table)))))
-
-
-def check_witness(preparations, targets, response: ResponseFunction) -> float:
-    """Max absolute residual of all equality constraints under ``response``."""
-    joints, targs = _validate_instance(preparations, targets)
-    if response.table.shape != joints.shape[1:] + targs.shape[1:]:
-        raise SpaceError("response shape does not match the instance")
-    return _max_residual(joints, targs, response.table)
-
-
 def _dyadic(values) -> tuple[np.ndarray, int]:
     """Python integers ``m`` (same shape) and a shift ``e`` with ``values == m / 2**e`` exactly."""
     ratios = [v.as_integer_ratio() for v in np.ravel(values).tolist()]
@@ -338,17 +319,18 @@ def _witness(joints, targs, reached, rows) -> tuple[FeasibilityVerdict | None, n
 
     Rows are renormalized and unreached pairs answer uniformly.  The verdict
     is None when the witness, substituted back over the original joints,
-    misses the statistics by more than ``EPS_LP`` in total.
+    misses the statistics by more than ``EPS_LP`` in total; otherwise its
+    ``max_residual`` is the largest residual of every equality.
     """
     n, k = joints.shape[1], targs.shape[1]
     table = np.full((n * n, k), 1.0 / k)
     table[reached] = rows
     table = (table / table.sum(axis=1, keepdims=True)).reshape(n, n, k)
-    misses = np.abs(_misses(joints, targs, table))
+    misses = np.abs(np.einsum("pij,ijk->pk", joints, table) - targs)
     if misses.sum() > EPS_LP:
         return None, misses
-    witness = ResponseFunction(table)
-    return FeasibilityVerdict(True, witness=witness, max_residual=_max_residual(joints, targs, witness.table)), misses
+    worst = max(float(np.max(np.abs(table.sum(axis=2) - 1.0))), float(misses.max()))
+    return FeasibilityVerdict(True, witness=ResponseFunction(table), max_residual=worst), misses
 
 
 def feasibility(preparations, targets) -> FeasibilityVerdict:
@@ -486,7 +468,10 @@ def monte_carlo(
         raise SpaceError(f"response over {response.size} states, space has {space.size}")
     if not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    try:
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    except ValueError as exc:  # numpy's message for a negative seed names no parameter
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}") from exc
     mass1, mass2 = (mu.mass / mu.mass.sum() for mu in (mu_device1, mu_device2))
     table = response.table / response.table.sum(axis=2, keepdims=True)
     counts = np.zeros(response.outcome_count, dtype=np.int64)

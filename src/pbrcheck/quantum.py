@@ -50,7 +50,7 @@ def as_state(values) -> np.ndarray:
     if v.ndim != 1 or v.size < 1:
         raise DimensionError(f"expected a 1-D amplitude vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+        raise DomainError("amplitudes must be finite (no NaN/Inf)")
     return v
 
 
@@ -146,7 +146,7 @@ def born_distribution(state, basis) -> np.ndarray:
     if not is_orthonormal_basis(basis):
         raise BasisError("measurement basis is not orthonormal within EPS_NORM")
     if not is_normalized(v):
-        raise ValueError("state must be unit-norm")
+        raise DomainError("state must be unit-norm")
     amplitudes = basis.outcomes.conj() @ v
     probs = np.abs(amplitudes) ** 2
     if abs(probs.sum() - 1.0) > EPS_PROB:

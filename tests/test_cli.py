@@ -130,6 +130,7 @@ USAGE_ERRORS = [
     *((f"feasibility --q {q}", "overlap q must lie in [0, 1]") for q in ("-0.1", "1.5", "nan")),
     ("feasibility --lambda-size 2 --q 0.5", "at least 3 ontic states"),
     ("montecarlo --samples 0", "samples must be a positive integer"),
+    ("montecarlo --seed -1", "seed must be a non-negative integer"),
     ("theta", "required: --theta"),
     ("--lam 4 pbr-table", "invalid choice: '4'"),
     ("feasibility --lam 5", "unrecognized arguments: --lam 5"),

@@ -15,10 +15,12 @@ from pbrcheck import (
     DomainError,
     EpistemicDistribution,
     OnticSpace,
+    PbrCheckError,
     ProbabilityTable,
     ResponseFunction,
     SpaceError,
     ZERO_PAIRING,
+    born_distribution,
     constant_response,
     feasibility,
     joint,
@@ -32,7 +34,8 @@ from pbrcheck import (
     state_assignment_response,
     uniform,
 )
-from pbrcheck.ontic import _MC_BLOCK, _block_counts, _validate_instance, check_witness
+from pbrcheck.ontic import _MC_BLOCK, _block_counts, _validate_instance
+from pbrcheck.quantum import as_state
 from pbrcheck.scenarios import mz_scenario, pbr_scenario
 
 import oracles
@@ -217,7 +220,7 @@ class TestFeasibility:
         mu0, mu1 = point_mass(space, 0), point_mass(space, 1)
         preparations, targets = pbr_instance(mu0, mu1)
         witness = state_assignment_response((0, 1), pbr_target_rows())
-        assert check_witness(preparations, targets, witness) <= 1e-12
+        assert oracles.witness_total_miss(preparations, targets, witness.table) <= 1e-12
 
     def test_psi_ontic_is_feasible(self):
         space = OnticSpace(2)
@@ -225,7 +228,7 @@ class TestFeasibility:
         verdict = feasibility(preparations, targets)
         assert verdict.feasible
         assert verdict.max_residual <= 1e-7
-        assert check_witness(preparations, targets, verdict.witness) <= 1e-7
+        assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= 1e-7
 
     def test_overlapping_model_is_infeasible(self):
         space = OnticSpace(4)
@@ -246,7 +249,7 @@ class TestFeasibility:
         preparations, targets = pbr_instance(mu0, mu1)
         verdict = feasibility(preparations, targets)
         assert verdict.feasible
-        assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+        assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
 
     def test_verdict_is_monotone_in_overlap(self):
         """Once overlap makes the model infeasible it stays infeasible for every
@@ -262,7 +265,7 @@ class TestFeasibility:
         first = feasible.index(False)
         assert not any(feasible[first:]), dict(zip(qs, feasible))
         for preparations, targets, verdict in runs[:first]:
-            assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+            assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
         for preparations, targets, verdict in runs[first:]:
             assert verdict.violated_constraint.startswith("cannot satisfy:")
             assert verdict.violation_bound > EPS_LP
@@ -283,7 +286,7 @@ class TestFeasibility:
         mu_dev = mixture(mu0, mu1)
         target = np.full(4, 0.25)
         witness = constant_response(space.size, target)
-        assert check_witness([joint(mu_dev, mu_dev)], [target], witness) <= 1e-12
+        assert oracles.witness_total_miss([joint(mu_dev, mu_dev)], [target], witness.table) <= 1e-12
         verdict = feasibility([joint(mu_dev, mu_dev)], [target])
         assert verdict.feasible
 
@@ -334,8 +337,6 @@ class TestFeasibility:
     def test_validation_errors(self, preparations, targets, error, message):
         with pytest.raises(error, match=message):
             feasibility(preparations, targets)
-        with pytest.raises(error, match=message):
-            check_witness(preparations, targets, constant_response(2, [0.5, 0.5]))
 
     def test_joints_of_valid_distributions_are_accepted(self):
         """A mass may miss 1 by EPS_PROB, so a joint of two may miss by about twice that."""
@@ -381,7 +382,7 @@ class TestLpCalls:
         with counted_linprog() as calls:
             verdict = feasibility(preparations, targets)
         assert (len(calls), verdict.feasible) == (0, True)
-        assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+        assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
 
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("q", [0.0, 1e-4, 0.5, 1.0])
@@ -393,7 +394,7 @@ class TestLpCalls:
             with counted_linprog() as calls:
                 verdict = feasibility(preparations, targets)
             assert (len(calls), verdict.feasible) == (0, True)
-            assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+            assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
 
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("q, feasible", [(1e-4, True), (1e-3, False), (0.3, False), (1.0, False)])
@@ -500,7 +501,7 @@ def test_every_instance_gets_a_checked_verdict(instance):
     preparations, targets = instance
     verdict = feasibility(preparations, targets)
     if verdict.feasible:
-        assert check_witness(preparations, targets, verdict.witness) <= EPS_LP
+        assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
     else:
         assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
 
@@ -655,3 +656,20 @@ class TestOverlapPair:
     def test_q_domain(self, q):
         with pytest.raises(DomainError):
             overlap_pair(OnticSpace(4), q)
+
+
+# --- every library rejection is a PbrCheckError ---
+
+
+@pytest.mark.parametrize(
+    "reject",
+    [
+        lambda: as_state([1.0, math.nan]),
+        lambda: born_distribution([1.0, 1.0], np.eye(2, dtype=complex)),
+        lambda: monte_carlo(*[uniform(OnticSpace(2))] * 2, constant_response(2, [0.5, 0.5]), 10, -1),
+    ],
+    ids=["non-finite amplitudes", "state not unit-norm", "negative seed"],
+)
+def test_library_rejections_are_pbrcheck_errors(reject):
+    with pytest.raises(PbrCheckError):
+        reject()
