@@ -131,6 +131,7 @@ USAGE_ERRORS = [
     ("feasibility --lambda-size 2 --q 0.5", "at least 3 ontic states"),
     ("montecarlo --samples 0", "samples must be a positive integer"),
     ("montecarlo --seed -1", "seed must be a non-negative integer"),
+    ("montecarlo --samples 100000000000000000000", "samples must be at most 2**63 - 1"),
     ("theta", "required: --theta"),
     ("--lam 4 pbr-table", "invalid choice: '4'"),
     ("feasibility --lam 5", "unrecognized arguments: --lam 5"),
@@ -487,9 +488,10 @@ def test_entrypoint_flushes_what_main_leaves_pending(stream, argv, code):
 def test_only_lp_commands_import_scipy():
     """scipy is loaded by the first LP verdict, and by nothing before it.
 
-    Feasible verdicts whose witness needs no LP load none: disjoint supports
-    (pbr, q = 0) and the single mz preparation.  An overlapping pbr instance
-    solves the LP.  No command loads click."""
+    Verdicts that the direct witness or the zero-cell dual proves load none:
+    disjoint supports (pbr, q = 0), the single mz preparation and an overlap
+    with 2 q**2 > EPS_LP (pbr, q = 0.3).  Only the band q = 1e-4 solves the
+    LP.  No command loads click."""
     script = """
 import json, sys
 import pbrcheck
@@ -497,12 +499,12 @@ from pbrcheck import cli
 loaded = {"import pbrcheck": "scipy" in sys.modules}
 for argv in (
     ["--version"], ["pbr-table"], ["mz"], ["theta", "--theta", "1.0"], ["montecarlo", "--samples", "1000"],
-    ["feasibility"], ["feasibility", "--scenario", "mz", "--q", "0.5"],
+    ["feasibility"], ["feasibility", "--scenario", "mz", "--q", "0.5"], ["feasibility", "--q", "0.3"],
 ):
     cli.main(argv)
     loaded[" ".join(argv)] = "scipy" in sys.modules
-cli.main(["feasibility", "--q", "0.3"])
-loaded["feasibility --q 0.3"] = "scipy.optimize" in sys.modules
+cli.main(["feasibility", "--q", "1e-4"])
+loaded["feasibility --q 1e-4"] = "scipy.optimize" in sys.modules
 loaded["click"] = "click" in sys.modules
 print(json.dumps(loaded), file=sys.stderr)
 """
@@ -518,6 +520,7 @@ print(json.dumps(loaded), file=sys.stderr)
         "montecarlo --samples 1000": False,
         "feasibility": False,
         "feasibility --scenario mz --q 0.5": False,
-        "feasibility --q 0.3": True,
+        "feasibility --q 0.3": False,
+        "feasibility --q 1e-4": True,
         "click": False,
     }
