@@ -16,15 +16,17 @@ feasibility question in the response-function entries: nonnegativity,
 pointwise normalization, and one linear equality per (preparation, outcome).
 Only overlap can make it fail: while no pair is reached by preparations that
 expect different statistics, answering each pair with the target row of the
-preparations reaching it is a witness.  Otherwise :func:`feasibility` tries
-PBR's own argument, made quantitative: the dual that is -1 on the targets'
-zero cells and +1 elsewhere proves, in exact arithmetic, that every response
-function misses the statistics by at least ``2 q**2`` on a PBR pair.  Only
-when neither proof holds does one elastic LP decide, returning a witness or
-a dual certificate, each checked over the original pairs;
-:func:`pbr_contradiction` is the independent analytic shortcut for the
-four-preparation scenario with a zero-outcome pairing that covers every
-outcome.
+preparations reaching it is a witness.  Otherwise :func:`feasibility` decides
+with one elastic LP solve.  Pairs whose joints are proportional across the
+preparations (equal likelihood ratios) are interchangeable, so the LP has one
+column per class of such pairs and sees the ontic space only through the
+likelihood ratios: states outside the overlap, whose ratios are 0 or infinite,
+add only a few classes however many they are.  It returns either a witness,
+re-checked over the original pairs, or a dual certificate, checked over the
+original pairs in exact arithmetic, that bounds the violation every response
+function must incur; :func:`pbr_contradiction` is the independent analytic
+shortcut for the four-preparation scenario with a zero-outcome pairing that
+covers every outcome.
 """
 
 from __future__ import annotations
@@ -134,11 +136,10 @@ def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, ze
     cannot sum to 1, which is the contradiction.  Returns True iff q > 0 and
     the pairing covers the four outcomes.
 
-    The size of the contradiction is proved, and :func:`feasibility` uses
-    the proof before any LP: the zero-cell dual ``y = J - 2I`` (-1 on the
-    pairing cells, +1 elsewhere), fed to :func:`_certified_bound`, shows that
-    every response function misses the statistics by at least ``2 q**2`` in
-    total.  So this predicate and :func:`feasibility` can disagree only
+    The size of the contradiction is proved: the dual ``y = J - 2I`` (-1 on
+    the pairing cells, +1 elsewhere), fed to :func:`_certified_bound`, shows
+    that every response function misses the statistics by at least ``2 q**2``
+    in total.  So this predicate and :func:`feasibility` can disagree only
     while ``2 q**2 <= EPS_LP`` (q up to about 2.2e-4), where the LP may find
     a response function within tolerance although q > 0.  The predicate keeps
     its "q > 0" answer until the benchmark's check of the ``feasibility``
@@ -242,23 +243,45 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     return joints.reshape(-1, n, n), as_distributions(targs, "target row")
 
 
-def _assemble_equalities(flats, targs):
-    """Elastic equality system ``A z = b`` over ``z = (x, s+, s-) >= 0``, one column of ``x`` per reached pair.
+def _pair_classes(flats) -> tuple[np.ndarray, np.ndarray]:
+    """Class of each pair column of ``flats`` and the summed joints of each class.
 
-    ``flats[p, c]`` is the joint of pair ``c`` under preparation ``p``, and
-    ``x[outcome, c]`` the response of that pair.  The first ``pairs`` rows
-    are the pointwise normalizations ``sum_k x[k, c] = 1``; then row ``p * k
-    + out`` is the statistics equality ``sum_c flats[p, c] * x[out, c] + s+ -
-    s- = target_p[out]``, with its own slack pair.
+    Two pairs whose joints are proportional across the preparations have
+    equal likelihood ratios, and the LP cannot tell them apart: with masses
+    ``w_a`` and ``w_b``, the shared response ``(w_a xi_a + w_b xi_b) / (w_a +
+    w_b)`` on their summed column predicts what ``xi_a`` and ``xi_b`` predict
+    together.  Pairs whose profiles ``column / column.sum()`` are equal as
+    floats form a class.  Classes are numbered in order of their first pair,
+    so when no two pairs merge the columns are ``flats`` itself, in order.
     """
-    pairs, k, stats = flats.shape[1], targs.shape[1], targs.size
-    a_eq = np.zeros((pairs + stats, k * pairs + 2 * stats))
+    profiles = np.ascontiguousarray((flats / flats.sum(axis=0)).T)
+    classes: dict[bytes, int] = {}
+    keys = profiles.view(f"V{profiles[0].nbytes}").ravel().tolist()  # one bytes key per pair
+    label = np.array([classes.setdefault(key, len(classes)) for key in keys])
+    if len(classes) == len(keys):
+        return label, flats
+    return label, flats @ (label[:, None] == np.arange(len(classes)))
+
+
+def _assemble_equalities(columns, targs):
+    """Elastic equality system ``A z = b`` over ``z = (x, s+, s-) >= 0``, one column of ``x`` per class.
+
+    ``columns[p, c]`` is the summed joint of class ``c`` under preparation
+    ``p``, and ``x[outcome, c]`` the response shared by the pairs of class
+    ``c``; so the LP sees the ontic space only through the likelihood ratios
+    that tell the classes apart.  The first ``classes`` rows are the
+    pointwise normalizations ``sum_k x[k, c] = 1``; then row ``p * k + out``
+    is the statistics equality ``sum_c columns[p, c] * x[out, c] + s+ - s- =
+    target_p[out]``, with its own slack pair.
+    """
+    classes, k, stats = columns.shape[1], targs.shape[1], targs.size
+    a_eq = np.zeros((classes + stats, k * classes + 2 * stats))
     for out in range(k):
-        np.fill_diagonal(a_eq[:pairs, out * pairs :], 1.0)
-        a_eq[pairs + out :: k, out * pairs : (out + 1) * pairs] = flats
-    np.fill_diagonal(a_eq[pairs:, k * pairs :], 1.0)
-    np.fill_diagonal(a_eq[pairs:, k * pairs + stats :], -1.0)
-    return a_eq, np.concatenate([np.ones(pairs), np.ravel(targs)])
+        np.fill_diagonal(a_eq[:classes, out * classes :], 1.0)
+        a_eq[classes + out :: k, out * classes : (out + 1) * classes] = columns
+    np.fill_diagonal(a_eq[classes:, k * classes :], 1.0)
+    np.fill_diagonal(a_eq[classes:, k * classes + stats :], -1.0)
+    return a_eq, np.concatenate([np.ones(classes), np.ravel(targs)])
 
 
 def _dyadic(values) -> tuple[np.ndarray, int]:
@@ -310,21 +333,6 @@ def _witness(joints, targs, reached, rows) -> tuple[FeasibilityVerdict | None, n
     return FeasibilityVerdict(True, witness=ResponseFunction(table), max_residual=worst), misses
 
 
-def _infeasible(targs, misses, y, bound, lp_note="") -> FeasibilityVerdict:
-    """Infeasible verdict proved by the dual ``y``; it names the row that ``misses`` misses most."""
-    prep, out = np.unravel_index(np.argmax(misses), misses.shape)
-    return FeasibilityVerdict(
-        False,
-        violated_constraint=(
-            f"cannot satisfy: preparation {prep}: outcome {out + 1} probability must equal "
-            f"{targs[prep, out]:.12g} (off by {misses[prep, out]:.3e}; "
-            f"{lp_note}certified at least {float(bound):.3e})"
-        ),
-        certificate=y,
-        violation_bound=float(bound),
-    )
-
-
 def feasibility(preparations, targets) -> FeasibilityVerdict:
     """Decide whether any response function reproduces the target statistics.
 
@@ -332,30 +340,30 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     preparation ``p`` and outcome ``k``,
     ``sum_pairs joint_p(l1, l2) * xi(k | l1, l2) = target_p(k)``.  The minimal
     total violation of the statistics equalities over all response functions
-    decides, and ``EPS_LP`` bounds it for both verdicts.  Three proofs are
-    tried in turn, and the first that holds decides:
+    decides, and ``EPS_LP`` bounds it for both verdicts.
 
-    * the direct witness: each reached pair answers with the target row of
-      the first preparation that reaches it, which is exact when all
-      preparations reaching a pair expect the same row (disjoint supports,
-      one preparation);
-    * the zero-cell dual: ``y = -1`` where a target is zero and ``+1``
-      elsewhere.  When each outcome is impossible for one preparation, as in
-      PBR, it proves that every response function misses the statistics by
-      at least ``2 sum_pair min_p joint_p(pair)``, which is ``2 q**2`` on a
-      PBR pair (see :func:`pbr_contradiction`);
-    * one elastic LP over the reached pairs, ``min 1.(s+ + s-)`` subject to
-      the normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >=
-      0``.  Its optimal ``x`` is the witness when it passes the same check
-      (see :func:`_witness`); otherwise its statistics duals are the
-      certificate.
+    Each reached pair first answers with the target row of the first
+    preparation that reaches it, which is exact when all preparations
+    reaching a pair expect the same row (disjoint supports, one preparation).
+    Only when that witness misses by more than ``EPS_LP``, in the overlap,
+    does one elastic LP run: ``min 1.(s+ + s-)`` subject to the
+    normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``.
+    The LP has one column per class of reached pairs with proportional joints
+    (see :func:`_pair_classes`), so ``x`` holds one response row per class:
 
-    A feasible verdict carries the witness, re-checked over the original
-    joints, and ``max_residual``, its largest residual over every
-    constraint.  An infeasible verdict carries a certificate whose bound,
-    proved in exact arithmetic, exceeds ``EPS_LP`` (``violation_bound``);
-    ``violated_constraint`` names the row that the last response tried
-    misses most.
+    * feasible when the optimal ``x``, each class's row given to every pair of
+      the class, passes the same check (see :func:`_witness`); it is the
+      witness, constant on each class, and ``max_residual`` its largest
+      residual over every constraint;
+    * infeasible when the statistics duals prove, in exact arithmetic over the
+      original pairs, that every response function misses them by more than
+      ``EPS_LP`` in total (``violation_bound``); ``violated_constraint`` names
+      the row the optimal ``x`` misses most.
+
+    Classes are found by float equality, which does not make the joints of a
+    class exactly proportional, and a bound proved over classes would hold
+    only if they were; checking both verdicts over the original pairs keeps
+    them proved.
 
     Raises :class:`PbrCheckError` when the solver fails or its answer supports
     neither verdict.  Near the threshold this decision and
@@ -368,35 +376,43 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     # the LP and answer uniformly.
     reached = np.flatnonzero(np.any(flats != 0.0, axis=0))
     flats = flats[:, reached]
-    verdict, misses = _witness(joints, targs, reached, targs[np.argmax(flats != 0.0, axis=0)])
+    verdict, _ = _witness(joints, targs, reached, targs[np.argmax(flats != 0.0, axis=0)])
     if verdict is not None:
         return verdict
-    y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
-    bound = _certified_bound(flats, targs, y)
-    if bound > EPS_LP:
-        return _infeasible(targs, misses, y, bound)
-    pairs = flats.shape[1]
-    a_eq, b_eq = _assemble_equalities(flats, targs)
+    label, columns = _pair_classes(flats)
+    classes = columns.shape[1]
+    a_eq, b_eq = _assemble_equalities(columns, targs)
     # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
     # resolve violations far below EPS_LP.
-    cost = np.concatenate([np.zeros(k * pairs), np.full(2 * targs.size, 1.0 / EPS_LP)])
+    cost = np.concatenate([np.zeros(k * classes), np.full(2 * targs.size, 1.0 / EPS_LP)])
     from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
 
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise PbrCheckError(f"LP solver failed: {res.message}")
-    rows = np.maximum(res.x[: k * pairs].reshape(k, pairs).T, 0.0)
+    # Each reached pair takes its class's row.
+    rows = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
     verdict, misses = _witness(joints, targs, reached, rows)
     if verdict is not None:
         return verdict
-    y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
+    y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
     bound = _certified_bound(flats, targs, y)
     if bound <= EPS_LP:
         raise PbrCheckError(
             f"neither verdict is proved: the witness misses by {misses.sum():.3e} in total, "
             f"the certificate proves only {float(bound):.3e}"
         )
-    return _infeasible(targs, misses, y, bound, f"minimal total violation {res.fun * EPS_LP:.3e}, ")
+    prep, out = np.unravel_index(np.argmax(misses), misses.shape)
+    return FeasibilityVerdict(
+        False,
+        violated_constraint=(
+            f"cannot satisfy: preparation {prep}: outcome {out + 1} probability must equal "
+            f"{targs[prep, out]:.12g} (off by {misses[prep, out]:.3e}; "
+            f"minimal total violation {res.fun * EPS_LP:.3e}, certified at least {float(bound):.3e})"
+        ),
+        certificate=y,
+        violation_bound=float(bound),
+    )
 
 
 def _block_seed(root: np.random.SeedSequence, block: int) -> np.random.SeedSequence:
@@ -452,7 +468,9 @@ def monte_carlo(
         raise SpaceError(f"response over {response.size} states, space has {space.size}")
     if not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
-    if samples > 2**63 - 1:  # the most that Generator.multinomial can draw
+    # The int64 outcome counts overflow beyond this.  Counts below it are
+    # accepted, and a huge one still loops over samples / _MC_BLOCK blocks.
+    if samples > 2**63 - 1:
         raise DomainError(f"samples must be at most 2**63 - 1, got {samples}")
     try:
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -488,10 +488,9 @@ def test_entrypoint_flushes_what_main_leaves_pending(stream, argv, code):
 def test_only_lp_commands_import_scipy():
     """scipy is loaded by the first LP verdict, and by nothing before it.
 
-    Verdicts that the direct witness or the zero-cell dual proves load none:
-    disjoint supports (pbr, q = 0), the single mz preparation and an overlap
-    with 2 q**2 > EPS_LP (pbr, q = 0.3).  Only the band q = 1e-4 solves the
-    LP.  No command loads click."""
+    Feasible verdicts whose witness needs no LP load none: disjoint supports
+    (pbr, q = 0) and the single mz preparation.  An overlapping pbr instance
+    solves the LP.  No command loads click."""
     script = """
 import json, sys
 import pbrcheck
@@ -499,12 +498,12 @@ from pbrcheck import cli
 loaded = {"import pbrcheck": "scipy" in sys.modules}
 for argv in (
     ["--version"], ["pbr-table"], ["mz"], ["theta", "--theta", "1.0"], ["montecarlo", "--samples", "1000"],
-    ["feasibility"], ["feasibility", "--scenario", "mz", "--q", "0.5"], ["feasibility", "--q", "0.3"],
+    ["feasibility"], ["feasibility", "--scenario", "mz", "--q", "0.5"],
 ):
     cli.main(argv)
     loaded[" ".join(argv)] = "scipy" in sys.modules
-cli.main(["feasibility", "--q", "1e-4"])
-loaded["feasibility --q 1e-4"] = "scipy.optimize" in sys.modules
+cli.main(["feasibility", "--q", "0.3"])
+loaded["feasibility --q 0.3"] = "scipy.optimize" in sys.modules
 loaded["click"] = "click" in sys.modules
 print(json.dumps(loaded), file=sys.stderr)
 """
@@ -520,7 +519,6 @@ print(json.dumps(loaded), file=sys.stderr)
         "montecarlo --samples 1000": False,
         "feasibility": False,
         "feasibility --scenario mz --q 0.5": False,
-        "feasibility --q 0.3": False,
-        "feasibility --q 1e-4": True,
+        "feasibility --q 0.3": True,
         "click": False,
     }
