@@ -7,14 +7,7 @@ a finite ontological model with overlapping epistemic distributions can
 reproduce them.
 """
 
-from .errors import (
-    BasisError,
-    DimensionError,
-    DomainError,
-    PbrCheckError,
-    SpaceError,
-    ZeroVectorError,
-)
+from .errors import DomainError, PbrCheckError
 from .ontic import (
     EPS_LP,
     EpistemicDistribution,

@@ -168,7 +168,7 @@ def theta_cmd(args) -> int:
         scenario="theta",
         tables=[table],
         metadata=_metadata(args, theta=args.theta),
-        extras={"theta": pair.theta, "overlap": pair.overlap},
+        extras={"overlap": pair.overlap},
     )
     return _emit(args, doc, True)
 
@@ -188,9 +188,6 @@ def feasibility_cmd(args) -> int:
         setup, devices = mz_scenario(), (mixture(mu0, mu1),)
     verdict = solve_feasibility([joint(a, b) for a, b in setup.device_pairs(*devices)], setup.targets)
     extras = {
-        "scenario": scenario,
-        "lambda_size": lambda_size,
-        "q_requested": q,
         "q_measured": overlap(mu0, mu1).q,
         "preparations": list(setup.labels),
         "mu0": mu0.mass.tolist(),

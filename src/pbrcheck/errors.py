@@ -2,24 +2,15 @@
 
 
 class PbrCheckError(Exception):
-    """Base class for every error raised by pbrcheck."""
+    """Base class for every error raised by pbrcheck.
 
-
-class DimensionError(PbrCheckError, ValueError):
-    """Operands have incompatible dimensions."""
-
-
-class BasisError(PbrCheckError, ValueError):
-    """A measurement basis fails a validity requirement."""
-
-
-class ZeroVectorError(PbrCheckError, ValueError):
-    """A vector with (near-)zero norm cannot be normalized."""
-
-
-class SpaceError(PbrCheckError, ValueError):
-    """Distributions or joints refer to incompatible ontic spaces."""
+    Raised as such only by :func:`pbrcheck.ontic.feasibility`, when the
+    solver fails or its answer proves neither verdict: the input was valid,
+    but no verdict could be proved for it.
+    """
 
 
 class DomainError(PbrCheckError, ValueError):
-    """A numeric parameter lies outside its admissible range."""
+    """The input is refused: a value out of range, a wrong shape, a different
+    ontic space, a zero vector or a measurement basis that is not orthonormal.
+    """

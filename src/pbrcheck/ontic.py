@@ -24,9 +24,11 @@ likelihood ratios: states outside the overlap, whose ratios are 0 or infinite,
 add only a few classes however many they are.  It returns either a witness,
 re-checked over the original pairs, or a dual certificate, checked over the
 original pairs in exact arithmetic, that bounds the violation every response
-function must incur; :func:`pbr_contradiction` is the independent analytic
-shortcut for the four-preparation scenario with a zero-outcome pairing that
-covers every outcome.
+function must incur.  :class:`PbrCheckError` means no verdict: the solver
+failed and PBR's zero-cell dual cannot decide, or neither verdict is proved.
+:func:`pbr_contradiction` is the independent analytic shortcut for the
+four-preparation scenario with a zero-outcome pairing that covers every
+outcome.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, PbrCheckError, SpaceError
+from .errors import DomainError, PbrCheckError
 from .quantum import EPS_PROB, EPS_ZERO, as_distributions
 
 #: Tolerance on the total violation of the LP equality constraints (elastic
@@ -61,7 +63,7 @@ class OnticSpace:
 
 def _require_same_space(a: "EpistemicDistribution", b: "EpistemicDistribution") -> OnticSpace:
     if a.space != b.space:
-        raise SpaceError(f"distributions live on different ontic spaces: {a.space} vs {b.space}")
+        raise DomainError(f"distributions live on different ontic spaces: {a.space} vs {b.space}")
     return a.space
 
 
@@ -75,7 +77,7 @@ class EpistemicDistribution:
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=np.float64)
         if m.shape != (self.space.size,):
-            raise SpaceError(f"mass shape {m.shape} does not match space size {self.space.size}")
+            raise DomainError(f"mass shape {m.shape} does not match space size {self.space.size}")
         object.__setattr__(self, "mass", as_distributions(m, "mass"))
 
 
@@ -229,17 +231,17 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     preps = [np.asarray(j, dtype=np.float64) for j in preparations]
     targs = [np.asarray(t, dtype=np.float64) for t in targets]
     if not preps or len(preps) != len(targs):
-        raise SpaceError(f"{len(preps)} preparations for {len(targs)} target rows")
+        raise DomainError(f"{len(preps)} preparations for {len(targs)} target rows")
     n = preps[0].shape[0] if preps[0].ndim == 2 else -1
     wrong = next((j.shape for j in preps if j.shape != (n, n)), None)
     if wrong is not None:
-        raise SpaceError(f"joint distributions must all be ({n}, {n}), got {wrong}")
+        raise DomainError(f"joint distributions must all be ({n}, {n}), got {wrong}")
     # Two masses each off 1 by EPS_PROB give a joint off by their product, plus n * n roundings.
     joint_tol = 2 * EPS_PROB + EPS_PROB**2 + n * n * np.finfo(np.float64).eps
     joints = as_distributions([j.ravel() for j in preps], "joint", joint_tol)
     k = targs[0].size
     if any(t.ndim != 1 or t.size != k for t in targs):
-        raise SpaceError("target rows must all have the same outcome count")
+        raise DomainError("target rows must all have the same outcome count")
     return joints.reshape(-1, n, n), as_distributions(targs, "target row")
 
 
@@ -365,9 +367,15 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     only if they were; checking both verdicts over the original pairs keeps
     them proved.
 
-    Raises :class:`PbrCheckError` when the solver fails or its answer supports
-    neither verdict.  Near the threshold this decision and
-    :func:`pbr_contradiction` can differ (see there).
+    When the solver fails, PBR's zero-cell dual (-1 on target cells at or
+    below ``EPS_ZERO``, +1 elsewhere; see :func:`pbr_contradiction`) may
+    still prove infeasibility; ``violated_constraint`` then states only the
+    proved bound, since no row is known to be missed most.
+
+    Raises :class:`PbrCheckError` when the solver fails and that dual proves
+    at most ``EPS_LP``, or when the solver's answer proves neither verdict.
+    Near the threshold this decision and :func:`pbr_contradiction` can
+    differ (see there).
     """
     joints, targs = _validate_instance(preparations, targets)
     n, k = joints.shape[1], targs.shape[1]
@@ -389,7 +397,15 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
 
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
-        raise PbrCheckError(f"LP solver failed: {res.message}")
+        y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
+        bound = _certified_bound(flats, targs, y)
+        if bound <= EPS_LP:
+            raise PbrCheckError(f"LP solver failed: {res.message}")
+        missed = f"every response function misses the statistics by at least {float(bound):.3e} in total"
+        return FeasibilityVerdict(
+            False, violated_constraint=f"cannot satisfy: {missed} (zero-cell dual; LP solver failed)",
+            certificate=y, violation_bound=float(bound),
+        )
     # Each reached pair takes its class's row.
     rows = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
     verdict, misses = _witness(joints, targs, reached, rows)
@@ -465,7 +481,7 @@ def monte_carlo(
     """
     space = _require_same_space(mu_device1, mu_device2)
     if response.size != space.size:
-        raise SpaceError(f"response over {response.size} states, space has {space.size}")
+        raise DomainError(f"response over {response.size} states, space has {space.size}")
     if not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
     # The int64 outcome counts overflow beyond this.  Counts below it are

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, DomainError, ZeroVectorError
+from .errors import DomainError
 
 #: Tolerance for unit norms and orthonormality checks.
 EPS_NORM = 1e-10
@@ -48,7 +48,7 @@ def as_state(values) -> np.ndarray:
     """
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
-        raise DimensionError(f"expected a 1-D amplitude vector, got shape {v.shape}")
+        raise DomainError(f"expected a 1-D amplitude vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise DomainError("amplitudes must be finite (no NaN/Inf)")
     return v
@@ -67,7 +67,7 @@ def inner(a, b) -> complex:
     """Inner product <a|b>, conjugating the left argument."""
     va, vb = as_state(a), as_state(b)
     if va.size != vb.size:
-        raise DimensionError(f"dimension mismatch: {va.size} vs {vb.size}")
+        raise DomainError(f"dimension mismatch: {va.size} vs {vb.size}")
     return complex(np.vdot(va, vb))
 
 
@@ -82,7 +82,7 @@ def normalize(v) -> np.ndarray:
     v = as_state(v)
     norm_sq = float(np.vdot(v, v).real)
     if norm_sq <= EPS_ZERO:
-        raise ZeroVectorError(f"cannot normalize a vector with squared norm {norm_sq:.3e}")
+        raise DomainError(f"cannot normalize a vector with squared norm {norm_sq:.3e}")
     return v / np.sqrt(norm_sq)
 
 
@@ -101,11 +101,9 @@ class MeasurementBasis:
     def __post_init__(self):
         m = np.array(self.outcomes, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise BasisError(
-                f"a complete basis needs dim outcome vectors of length dim, got shape {m.shape}"
-            )
+            raise DomainError(f"a complete basis needs dim outcome vectors of length dim, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise BasisError("basis amplitudes must be finite")
+            raise DomainError("basis amplitudes must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "outcomes", m)
 
@@ -126,7 +124,7 @@ def is_orthonormal_basis(basis) -> bool:
     """
     m = basis.outcomes if isinstance(basis, MeasurementBasis) else np.asarray(basis, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1:
-        raise DimensionError(f"expected a 2-D array of outcome kets, got shape {m.shape}")
+        raise DomainError(f"expected a 2-D array of outcome kets, got shape {m.shape}")
     gram = m.conj() @ m.T
     return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= EPS_NORM)
 
@@ -142,13 +140,13 @@ def born_distribution(state, basis) -> np.ndarray:
     if not isinstance(basis, MeasurementBasis):
         basis = MeasurementBasis(basis)
     if basis.dim != v.size:
-        raise DimensionError(f"state dim {v.size} does not match basis dim {basis.dim}")
+        raise DomainError(f"state dim {v.size} does not match basis dim {basis.dim}")
     if not is_orthonormal_basis(basis):
-        raise BasisError("measurement basis is not orthonormal within EPS_NORM")
+        raise DomainError("measurement basis is not orthonormal within EPS_NORM")
     if not is_normalized(v):
         raise DomainError("state must be unit-norm")
     amplitudes = basis.outcomes.conj() @ v
     probs = np.abs(amplitudes) ** 2
     if abs(probs.sum() - 1.0) > EPS_PROB:
-        raise BasisError(f"outcome probabilities sum to {probs.sum()!r}, not 1")
+        raise DomainError(f"outcome probabilities sum to {probs.sum()!r}, not 1")
     return probs

@@ -289,6 +289,28 @@ class TestFeasibilityCommand:
         assert code == exit_code
 
 
+def test_text_document_states_the_scenario_once(capsys):
+    code, out, _ = run(capsys, "feasibility", "--q", "0.3")
+    assert code == 3
+    assert [line for line in out.splitlines() if line.startswith("scenario:")] == ["scenario: feasibility-pbr"]
+
+
+@pytest.mark.parametrize(
+    "argv, parameters, dropped",
+    [
+        (["feasibility", "--q", "0.3"], {"scenario", "lambda_size", "q"}, {"scenario", "lambda_size", "q_requested"}),
+        (["theta", "--theta", "1.0"], {"theta"}, {"theta"}),
+    ],
+    ids=["feasibility", "theta"],
+)
+def test_json_extras_repeat_no_run_parameter(capsys, argv, parameters, dropped):
+    """Each run parameter appears once, in ``metadata.parameters``."""
+    _, out, _ = run(capsys, "--format", "json", *argv)
+    doc = ReportDocument.from_json(out)
+    assert set(doc.metadata["parameters"]) == parameters
+    assert not dropped & set(doc.extras)
+
+
 # --- montecarlo ---
 
 

@@ -18,14 +18,15 @@ from pbrcheck import (
     PbrCheckError,
     ProbabilityTable,
     ResponseFunction,
-    SpaceError,
     ZERO_PAIRING,
     born_distribution,
     constant_response,
     feasibility,
+    inner,
     joint,
     mixture,
     monte_carlo,
+    normalize,
     overlap,
     overlap_pair,
     pbr_contradiction,
@@ -131,7 +132,7 @@ class TestOverlap:
         assert report.q == 0.0
 
     def test_space_mismatch(self):
-        with pytest.raises(SpaceError):
+        with pytest.raises(DomainError, match="different ontic spaces"):
             overlap(dist(1, 0), dist(1, 0, 0))
 
 
@@ -165,7 +166,7 @@ class TestJoint:
             np.testing.assert_allclose(j.sum(axis=0), b.mass, atol=1e-12)
 
     def test_space_mismatch(self):
-        with pytest.raises(SpaceError):
+        with pytest.raises(DomainError, match="different ontic spaces"):
             joint(dist(1, 0), dist(1, 0, 0))
 
 
@@ -306,9 +307,9 @@ class TestFeasibility:
             assert verdict.feasible == (not contradiction), (trial, n, m0, m1)
 
     def test_shape_validation(self):
-        with pytest.raises(SpaceError):
+        with pytest.raises(DomainError, match="1 preparations for 2 target rows"):
             feasibility([np.full((2, 2), 0.25)], [np.full(4, 0.25), np.full(4, 0.25)])
-        with pytest.raises(SpaceError):
+        with pytest.raises(DomainError, match="must all be"):
             feasibility(
                 [np.full((2, 2), 0.25), np.full((3, 3), 1 / 9)],
                 [np.full(4, 0.25), np.full(4, 0.25)],
@@ -321,13 +322,13 @@ class TestFeasibility:
     @pytest.mark.parametrize(
         "preparations, targets, error, message",
         [
-            ([], [], SpaceError, "0 preparations for 0 target rows"),
-            ([np.full(4, 0.25)], [np.full(4, 0.25)], SpaceError, r"must all be \(-1, -1\), got \(4,\)"),
-            ([np.full((2, 2), 0.25), np.full(4, 0.25)], [np.full(2, 0.5)] * 2, SpaceError, r"got \(4,\)"),
+            ([], [], DomainError, "0 preparations for 0 target rows"),
+            ([np.full(4, 0.25)], [np.full(4, 0.25)], DomainError, r"must all be \(-1, -1\), got \(4,\)"),
+            ([np.full((2, 2), 0.25), np.full(4, 0.25)], [np.full(2, 0.5)] * 2, DomainError, r"got \(4,\)"),
             ([np.array([[1.5, -0.5], [0.0, 0.0]])], [np.full(2, 0.5)], DomainError, "each joint must be"),
             ([np.full((2, 2), 0.3)], [np.full(2, 0.5)], DomainError, "each joint must be"),
-            ([np.full((2, 2), 0.25)] * 2, [np.full(2, 0.5), np.full(3, 1 / 3)], SpaceError, "same outcome count"),
-            ([np.full((2, 2), 0.25)], [np.full((2, 2), 0.25)], SpaceError, "same outcome count"),
+            ([np.full((2, 2), 0.25)] * 2, [np.full(2, 0.5), np.full(3, 1 / 3)], DomainError, "same outcome count"),
+            ([np.full((2, 2), 0.25)], [np.full((2, 2), 0.25)], DomainError, "same outcome count"),
             ([np.full((2, 2), 0.25)], [np.array([1.5, -0.5])], DomainError, "each target row must be"),
             ([np.full((2, 2), 0.25 + EPS_PROB)], [np.full(2, 0.5)], DomainError, "each joint must be"),
             ([np.array([[math.nan, 0.5], [0.25, 0.25]])], [np.full(2, 0.5)], DomainError, "each joint must be"),
@@ -405,7 +406,6 @@ class TestLpCalls:
         assert (len(calls), verdict.feasible) == (1, feasible)
 
 
-@pytest.mark.xfail(strict=True, raises=PbrCheckError, reason="HiGHS stops with 'Status 0: Not Set' on these pairs")
 @pytest.mark.parametrize(
     "m0, m1, bound",
     [
@@ -429,6 +429,16 @@ def test_pairs_where_the_lp_solver_fails_are_infeasible(m0, m1, bound):
     exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
     assert exact > EPS_LP
     assert float(exact) == pytest.approx(bound, rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=PbrCheckError, reason="HiGHS's rows exceed 1 within its primal tolerance")
+def test_skewed_pair_just_inside_the_tolerance_is_feasible():
+    """V* = 9.636e-8 < EPS_LP, so the pair is feasible; but the renormalized LP witness misses by
+    1.93e-7 and the certificate proves only V*, so neither verdict is proved."""
+    m0 = np.array([0.9999999886938188, 1.1306181061344677e-08])
+    m1 = np.array([8.50545002443362e-08, 0.9999999149454998])
+    preparations, targets = scenario_instance(m0, m1, pbr=True)
+    assert feasibility(preparations, targets).feasible
 
 
 # --- one rule for probability rows ---
@@ -650,7 +660,7 @@ class TestMonteCarlo:
 
     def test_space_mismatch(self):
         other = uniform(OnticSpace(3))
-        with pytest.raises(SpaceError):
+        with pytest.raises(DomainError, match="different ontic spaces"):
             monte_carlo(self.mu_zero, other, self.response, 10, 0)
 
 
@@ -698,9 +708,22 @@ class TestOverlapPair:
         lambda: as_state([1.0, math.nan]),
         lambda: born_distribution([1.0, 1.0], np.eye(2, dtype=complex)),
         lambda: monte_carlo(*[uniform(OnticSpace(2))] * 2, constant_response(2, [0.5, 0.5]), 10, -1),
+        lambda: joint(uniform(OnticSpace(2)), uniform(OnticSpace(3))),
+        lambda: inner([1, 0], [1, 0, 0, 0]),
+        lambda: normalize([0.0, 0.0]),
+        lambda: born_distribution([1.0, 0.0], np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])),
     ],
-    ids=["non-finite amplitudes", "state not unit-norm", "negative seed"],
+    ids=[
+        "non-finite amplitudes",
+        "state not unit-norm",
+        "negative seed",
+        "joint over two spaces",
+        "inner across dimensions",
+        "zero vector",
+        "skewed basis",
+    ],
 )
 def test_library_rejections_are_pbrcheck_errors(reject):
-    with pytest.raises(PbrCheckError):
+    """Every refused input raises the one refusal class, a PbrCheckError and a ValueError."""
+    with pytest.raises(DomainError):
         reject()
