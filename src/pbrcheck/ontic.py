@@ -33,6 +33,7 @@ outcome.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,6 +51,17 @@ EPS_LP = 1e-7
 _MC_BLOCK = 1 << 15
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` as an ``int``: any integer type but ``bool``, at least 1."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class OnticSpace:
     """A finite set of physical states, numbered 0 .. size - 1."""
@@ -57,8 +69,7 @@ class OnticSpace:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
-            raise DomainError(f"ontic space size must be a positive integer, got {self.size!r}")
+        object.__setattr__(self, "size", _positive_int(self.size, "ontic space size"))
 
 
 def _require_same_space(a: "EpistemicDistribution", b: "EpistemicDistribution") -> OnticSpace:
@@ -437,15 +448,15 @@ def _block_seed(root: np.random.SeedSequence, block: int) -> np.random.SeedSeque
 
 
 def _block_counts(mass1, mass2, table, block: int, n_samples: int, root) -> np.ndarray:
-    """Outcome counts of one sample block, drawn from its own three sub-streams.
+    """Outcome counts of one sample block: its one generator draws device 1, device 2, then the detector.
 
     ``mass1``, ``mass2`` and every row of ``table`` must sum to 1 to within
     rounding, as :func:`monte_carlo` makes them: ``Generator.multinomial``
     rejects a distribution whose leading entries sum to more than 1 + 1e-12.
     """
-    dev1, dev2, detector = (np.random.default_rng(s) for s in _block_seed(root, block).spawn(3))
-    pairs = dev2.multinomial(dev1.multinomial(n_samples, mass1), mass2)
-    return detector.multinomial(pairs, table).sum(axis=(0, 1))
+    rng = np.random.default_rng(_block_seed(root, block))
+    pairs = rng.multinomial(rng.multinomial(n_samples, mass1), mass2)
+    return rng.multinomial(pairs, table).sum(axis=(0, 1))
 
 
 def monte_carlo(
@@ -459,18 +470,18 @@ def monte_carlo(
 
     Draws ``l1 ~ mu_device1`` and ``l2 ~ mu_device2`` independently, then an
     outcome from ``response``.  Sampling is reproducible and splittable:
-    samples are grouped into fixed-size blocks, block ``c`` derives its
-    SeedSequence child via ``spawn_key + (c,)`` and splits it into three
-    sub-streams (device 1, device 2, detector).  Draws depend only on the seed
-    and the block index, so distributing blocks over any number of workers and
-    summing counts reproduces the single-threaded result exactly.
+    samples are grouped into fixed-size blocks, and block ``c`` builds one
+    generator from its SeedSequence child ``spawn_key + (c,)``.  Draws
+    depend only on the seed and the block index, so distributing blocks over
+    any number of workers and summing counts reproduces the single-threaded
+    result exactly.
 
     A block of ``B`` samples draws counts, not samples, in three multinomial
-    stages, one per sub-stream: device 1 draws ``c1 ~ Multinomial(B,
-    mu_device1)``; device 2 splits each ``c1[l1]`` by ``mu_device2`` into the
-    pair counts ``c[l1, l2]``; the detector splits each pair count by the
-    response row ``xi(. | l1, l2)``, and the block returns the outcome counts
-    summed over all pairs.  The work per block is O(n**2 * outcomes),
+    stages, in this order from its generator: device 1 draws ``c1 ~
+    Multinomial(B, mu_device1)``; device 2 splits each ``c1[l1]`` by
+    ``mu_device2`` into the pair counts ``c[l1, l2]``; the detector splits
+    each pair count by the response row ``xi(. | l1, l2)`` and the block sums
+    the outcome counts over all pairs.  The work per block is O(n**2 * outcomes),
     whatever ``B``.  The law of the counts is that of ``B`` samples drawn one
     by one; the counts that a fixed seed gives are not those of a per-sample
     draw.  The masses and the response rows are divided by their sums once
@@ -482,8 +493,7 @@ def monte_carlo(
     space = _require_same_space(mu_device1, mu_device2)
     if response.size != space.size:
         raise DomainError(f"response over {response.size} states, space has {space.size}")
-    if not isinstance(samples, int) or samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples!r}")
+    samples = _positive_int(samples, "samples")
     # The int64 outcome counts overflow beyond this.  Counts below it are
     # accepted, and a huge one still loops over samples / _MC_BLOCK blocks.
     if samples > 2**63 - 1:

@@ -4,8 +4,8 @@ Everything here is deliberately written with explicit Python loops and
 elementary arithmetic, so it shares no code path with the library's
 vectorized implementations.  The one exception is
 :func:`per_sample_block_counts`, the reference for the count sampler: it
-draws every sample with numpy, so that it stays fast enough to pool over
-hundreds of seeds.
+draws every sample with numpy, from one generator per block as the sampler
+does, so that it stays fast enough to pool over hundreds of seeds.
 """
 
 import math
@@ -154,15 +154,16 @@ def per_sample_block_counts(mass1, mass2, table, block, n_samples, root) -> np.n
     """Outcome counts of one sample block, drawn one sample at a time.
 
     The reference for ``pbrcheck.ontic._block_counts``, with its signature
-    and its three sub-streams per block: device 1 and device 2 each draw
-    their ontic state by ``Generator.choice``, and the detector picks the
-    outcome whose cumulative response first reaches a uniform draw.
+    and its one generator per block, which draws in this order: device 1's
+    and device 2's ontic states by ``Generator.choice``, then the detector's
+    uniforms; each sample's outcome is the first whose cumulative response
+    reaches its uniform.
     """
     seed = np.random.SeedSequence(entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (block,))
-    dev1, dev2, detector = (np.random.default_rng(s) for s in seed.spawn(3))
-    l1 = dev1.choice(len(mass1), size=n_samples, p=mass1)
-    l2 = dev2.choice(len(mass2), size=n_samples, p=mass2)
+    rng = np.random.default_rng(seed)
+    l1 = rng.choice(len(mass1), size=n_samples, p=mass1)
+    l2 = rng.choice(len(mass2), size=n_samples, p=mass2)
     cumulative = np.cumsum(np.asarray(table)[l1, l2, :], axis=1)
-    u = detector.random(n_samples)
+    u = rng.random(n_samples)
     outcomes = np.minimum((cumulative < u[:, None]).sum(axis=1), cumulative.shape[1] - 1)
     return np.bincount(outcomes, minlength=cumulative.shape[1])

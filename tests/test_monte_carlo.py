@@ -12,10 +12,12 @@ from pbrcheck import (
     EpistemicDistribution,
     OnticSpace,
     ResponseFunction,
+    constant_response,
     monte_carlo,
     pbr_target_rows,
     point_mass,
     state_assignment_response,
+    uniform,
 )
 from pbrcheck.ontic import _MC_BLOCK, _block_counts
 
@@ -106,6 +108,35 @@ def test_point_masses_with_a_deterministic_response_equal_the_oracle(samples):
         freq = monte_carlo(mu_a, mu_b, response, samples, 31)
         np.testing.assert_array_equal(freq, oracle_frequencies(mu_a, mu_b, response, samples, 31))
         np.testing.assert_array_equal(freq, exact_probabilities(mu_a, mu_b, response))
+
+
+def test_blocks_of_one_call_are_independent():
+    """Over 200 seeds at four blocks each, the summed per-seed chi-square
+    against the exact law is multinomial (two-sided at 1e-4).  Blocks that
+    drew one shared stream would repeat one block's counts four times, which
+    quadruples it."""
+    samples = 4 * _MC_BLOCK
+    mu = uniform(OnticSpace(2))
+    response = constant_response(2, [0.25] * 4)
+    expected = np.full(4, samples / 4)
+    spread = sum(pearson(monte_carlo(mu, mu, response, samples, s) * samples, expected) for s in range(SEEDS))
+    df = SEEDS * 3
+    assert chi2.ppf(ALPHA / 2, df) <= spread <= chi2.ppf(1 - ALPHA / 2, df)
+
+
+def test_each_block_builds_one_generator(monkeypatch):
+    """A call at three blocks and one sample builds four generators, one per block."""
+    _, mu_a, mu_b, response = random_model()
+    built = []
+    make = np.random.default_rng
+
+    def counted(seed=None):
+        built.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    monte_carlo(mu_a, mu_b, response, 3 * _MC_BLOCK + 1, 0)
+    assert len(built) == 4
 
 
 # --- properties on edge inputs ---

@@ -60,8 +60,13 @@ def pbr_instance(mu0, mu1):
 
 class TestDistributions:
     def test_space_needs_positive_size(self):
-        with pytest.raises(DomainError):
-            OnticSpace(0)
+        for size in (0, True, 2.0):
+            with pytest.raises(DomainError, match="ontic space size must be a positive integer"):
+                OnticSpace(size)
+
+    def test_space_size_of_any_integer_type(self):
+        assert OnticSpace(np.int64(3)) == OnticSpace(3)
+        assert type(OnticSpace(np.int64(3)).size) is int
 
     def test_mass_must_sum_to_one(self):
         with pytest.raises(DomainError):
@@ -650,8 +655,13 @@ class TestMonteCarlo:
         assert np.count_nonzero(freq) == 1
 
     def test_invalid_samples(self):
-        with pytest.raises(DomainError):
-            monte_carlo(self.mu_zero, self.mu_plus, self.response, 0, 0)
+        for samples in (0, True, 10.0):
+            with pytest.raises(DomainError, match="samples must be a positive integer"):
+                monte_carlo(self.mu_zero, self.mu_plus, self.response, samples, 0)
+
+    def test_samples_of_any_integer_type(self):
+        freq = monte_carlo(self.mu_zero, self.mu_plus, self.response, np.int64(1000), 3)
+        np.testing.assert_array_equal(freq, monte_carlo(self.mu_zero, self.mu_plus, self.response, 1000, 3))
 
     def test_samples_beyond_int64_are_rejected(self):
         """The int64 outcome counts cannot hold more than 2**63 - 1 samples."""
