@@ -38,7 +38,7 @@ from .ontic import (
     uniform,
 )
 from .ontic import feasibility as solve_feasibility
-from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO
+from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO, as_int, as_real
 from .report import ReportDocument, verdict_summary
 from .scenarios import (
     ZERO_PAIRING,
@@ -82,12 +82,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+        return as_real(float(text), "zero-flag threshold", 0, math.inf, closed=False)
+    except ValueError as exc:  # float's refusal of text that is no number, or the reader's DomainError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _metadata(args, seed=None, **parameters) -> dict:
@@ -214,9 +211,8 @@ def montecarlo_cmd(args) -> int:
     where z gives a correct sampler a 0.27% chance of a miss on any of its m
     non-degenerate cells together (two-sided, Bonferroni over the m cells).
     """
-    samples, seed, model = args.samples, args.seed, args.model
-    if seed < 0:  # each device pair draws from its own SeedSequence, built here
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    samples, model = args.samples, args.model
+    seed = as_int(args.seed, "seed")  # each device pair draws from its own SeedSequence, built here
     if model == "psi-ontic":
         setup = pbr_scenario()
         space = OnticSpace(2)

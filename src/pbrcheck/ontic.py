@@ -33,14 +33,13 @@ outcome.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, PbrCheckError
-from .quantum import EPS_PROB, EPS_ZERO, as_distributions
+from .quantum import EPS_PROB, EPS_ZERO, as_distributions, as_int, as_real
 
 #: Tolerance on the total violation of the LP equality constraints (elastic
 #: solve, witness re-check and infeasibility certificate).
@@ -51,17 +50,6 @@ EPS_LP = 1e-7
 _MC_BLOCK = 1 << 15
 
 
-def _positive_int(value, what: str) -> int:
-    """``value`` as an ``int``: any integer type but ``bool``, at least 1."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or number < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
-    return number
-
-
 @dataclass(frozen=True)
 class OnticSpace:
     """A finite set of physical states, numbered 0 .. size - 1."""
@@ -69,7 +57,7 @@ class OnticSpace:
     size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "size", _positive_int(self.size, "ontic space size"))
+        object.__setattr__(self, "size", as_int(self.size, "ontic space size", 1))
 
 
 def _require_same_space(a: "EpistemicDistribution", b: "EpistemicDistribution") -> OnticSpace:
@@ -94,10 +82,8 @@ class EpistemicDistribution:
 
 def point_mass(space: OnticSpace, index: int) -> EpistemicDistribution:
     """All mass on a single ontic state."""
-    if not 0 <= index < space.size:
-        raise DomainError(f"index {index} outside ontic space of size {space.size}")
     m = np.zeros(space.size)
-    m[index] = 1.0
+    m[as_int(index, "index", 0, space.size)] = 1.0
     return EpistemicDistribution(space, m)
 
 
@@ -158,11 +144,8 @@ def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, ze
     its "q > 0" answer until the benchmark's check of the ``feasibility``
     document accepts one that reads the proved bound.
     """
-    report = overlap(mu0, mu1)
-    if report.q <= 0.0:
-        return False
-    killed = {int(k) for _, k in zero_pairing}
-    return killed >= set(range(4))
+    killed = {as_int(k, "zero_pairing outcome") for _, k in zero_pairing}
+    return overlap(mu0, mu1).q > 0.0 and killed >= set(range(4))
 
 
 @dataclass(frozen=True)
@@ -177,7 +160,7 @@ class ResponseFunction:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[2] < 1:
+        if t.ndim != 3 or t.shape[0] != t.shape[1] or 0 in t.shape:
             raise DomainError(f"response table must have shape (n, n, outcomes), got {t.shape}")
         object.__setattr__(self, "table", as_distributions(t, "response row"))
 
@@ -193,6 +176,7 @@ class ResponseFunction:
 def constant_response(size: int, probs) -> ResponseFunction:
     """Response that ignores the physical pair and always answers with ``probs``."""
     p = np.asarray(probs, dtype=np.float64)
+    size = as_int(size, "size", 1)
     return ResponseFunction(np.broadcast_to(p, (size, size, p.size)).copy())
 
 
@@ -204,15 +188,14 @@ def state_assignment_response(assignment, outcome_rows) -> ResponseFunction:
     ``outcome_rows`` has one outcome distribution per ordered state pair,
     row-major: pair (s1, s2) at index ``s1 * S + s2``.
     """
-    assign = np.asarray(list(assignment), dtype=int)
     rows = np.asarray(outcome_rows, dtype=np.float64)
     if rows.ndim != 2:
         raise DomainError(f"outcome_rows must be 2-D, got shape {rows.shape}")
     n_states = int(round(np.sqrt(rows.shape[0])))
     if n_states * n_states != rows.shape[0]:
         raise DomainError(f"outcome_rows needs one row per ordered state pair, got {rows.shape[0]}")
-    if np.any(assign < 0) or np.any(assign >= n_states):
-        raise DomainError(f"assignment values must index {n_states} states")
+    # dtype=int types an empty assignment, whose zero-size table ResponseFunction refuses.
+    assign = np.array([as_int(s, "assignment entry", 0, n_states) for s in assignment], dtype=int)
     n = assign.size
     table = rows[assign[:, None] * n_states + assign[None, :]]
     return ResponseFunction(table.reshape(n, n, rows.shape[1]))
@@ -488,20 +471,15 @@ def monte_carlo(
     per call, because validation lets each sum be off 1 by up to
     ``EPS_PROB``.
 
-    ``seed`` may be an int or a ``numpy.random.SeedSequence``.
+    ``seed`` is a non-negative int or a ``numpy.random.SeedSequence``.
     """
     space = _require_same_space(mu_device1, mu_device2)
     if response.size != space.size:
         raise DomainError(f"response over {response.size} states, space has {space.size}")
-    samples = _positive_int(samples, "samples")
-    # The int64 outcome counts overflow beyond this.  Counts below it are
+    # The int64 outcome counts overflow at 2**63.  Counts below it are
     # accepted, and a huge one still loops over samples / _MC_BLOCK blocks.
-    if samples > 2**63 - 1:
-        raise DomainError(f"samples must be at most 2**63 - 1, got {samples}")
-    try:
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    except ValueError as exc:  # numpy's message for a negative seed names no parameter
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}") from exc
+    samples = as_int(samples, "samples", 1, 2**63)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(as_int(seed, "seed"))
     mass1, mass2 = (mu.mass / mu.mass.sum() for mu in (mu_device1, mu_device2))
     table = response.table / response.table.sum(axis=2, keepdims=True)
     counts = np.zeros(response.outcome_count, dtype=np.int64)
@@ -519,9 +497,7 @@ def overlap_pair(space: OnticSpace, q: float) -> tuple[EpistemicDistribution, Ep
     the index range 1..size-2.  Needs size >= 3 when q > 0 and size >= 2 when
     q = 0.
     """
-    if not (isinstance(q, (int, float)) and np.isfinite(q) and 0.0 <= q <= 1.0):
-        raise DomainError(f"overlap q must lie in [0, 1], got {q!r}")
-    q = float(q)
+    q = as_real(q, "overlap q", 0, 1)
     n = space.size
     if q == 0.0:
         if n < 2:
@@ -529,11 +505,8 @@ def overlap_pair(space: OnticSpace, q: float) -> tuple[EpistemicDistribution, Ep
         return point_mass(space, 0), point_mass(space, n - 1)
     if n < 3:
         raise DomainError("q > 0 needs at least 3 ontic states (endpoints plus a middle block)")
-    middle = np.arange(1, n - 1)
     m0 = np.zeros(n)
-    m1 = np.zeros(n)
-    m0[0] = 1.0 - q
-    m1[n - 1] = 1.0 - q
-    m0[middle] += q / middle.size
-    m1[middle] += q / middle.size
+    m0[1:-1] = q / (n - 2)
+    m1 = m0.copy()
+    m0[0] = m1[-1] = 1.0 - q
     return EpistemicDistribution(space, m0), EpistemicDistribution(space, m1)

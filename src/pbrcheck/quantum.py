@@ -5,10 +5,17 @@ error budgets are generous: unit norms and Gram matrices are trusted to
 ``EPS_NORM``, probability sums to ``EPS_PROB``.  Global phases are kept
 exactly as the caller writes them; every quantity this module reports
 (probabilities, Gram entries) is phase-invariant anyway.
+
+Every scalar a caller passes to pbrcheck is read by one rule: :func:`as_int`
+takes any ``numbers.Integral`` in ``[low, high)``, :func:`as_real` any
+``numbers.Real`` but NaN in a closed or open interval.  Neither takes ``bool``,
+and each refusal is a :class:`DomainError` that names the parameter.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,26 @@ def as_distributions(values, what: str, sum_tol: float = EPS_PROB) -> np.ndarray
         raise DomainError(f"each {what} must be normalized to within {sum_tol!r}, but a sum is off 1 by {off.max()!r}")
     p.setflags(write=False)
     return p
+
+
+def as_int(value, what: str, low: int = 0, high: float = math.inf) -> int:
+    """``value`` as an ``int`` in ``[low, high)``: any ``numbers.Integral`` but ``bool``."""
+    number = int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else math.nan
+    if not low <= number < high:
+        raise DomainError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
+    return number
+
+
+def as_real(value, what: str, low: float, high: float, closed: bool = True) -> float:
+    """``value`` as a ``float`` in ``[low, high]`` (open if not ``closed``): any ``numbers.Real`` but ``bool``."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or Fraction beyond every float
+        number = math.nan
+    if not (low <= number <= high if closed else low < number < high):
+        interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
+        raise DomainError(f"{what} must be a real number in {interval}, got {value!r}")
+    return number
 
 
 def as_state(values) -> np.ndarray:

@@ -24,6 +24,7 @@ from .quantum import (
     EPS_PROB,
     MeasurementBasis,
     as_distributions,
+    as_real,
     born_distribution,
     inner,
     normalize,
@@ -110,8 +111,8 @@ class ProbabilityTable:
                 f"probability matrix shape {probs.shape} does not match "
                 f"{len(rows)} row / {len(cols)} column labels"
             )
-        if not (math.isfinite(self.zero_threshold) and self.zero_threshold > 0.0):
-            raise DomainError(f"zero_threshold must be positive, got {self.zero_threshold!r}")
+        threshold = as_real(self.zero_threshold, "zero_threshold", 0, math.inf, closed=False)
+        object.__setattr__(self, "zero_threshold", threshold)
         object.__setattr__(self, "probabilities", as_distributions(probs, "table row"))
         object.__setattr__(self, "row_labels", rows)
         object.__setattr__(self, "column_labels", cols)
@@ -135,7 +136,7 @@ class ProbabilityTable:
             "row_labels": list(self.row_labels),
             "column_labels": list(self.column_labels),
             "probabilities": self.probabilities.tolist(),
-            "zero_threshold": float(self.zero_threshold),
+            "zero_threshold": self.zero_threshold,
             "zero_flags": self.zero_flags.tolist(),
             "row_sums": self.row_sums().tolist(),
         }
@@ -151,7 +152,7 @@ class ProbabilityTable:
             row_labels=tuple(payload["row_labels"]),
             column_labels=tuple(payload["column_labels"]),
             probabilities=np.array(payload["probabilities"], dtype=np.float64),
-            zero_threshold=float(payload["zero_threshold"]),
+            zero_threshold=payload["zero_threshold"],
             title=str(payload.get("title", "")),
         )
         if payload["zero_flags"] != table.zero_flags.tolist():
@@ -234,9 +235,7 @@ class ThetaPair:
 
 def theta_pair(theta: float) -> ThetaPair:
     """Construct the pair for ``0 < theta < pi`` (both states unit-norm)."""
-    theta = float(theta)
-    if not (math.isfinite(theta) and 0.0 < theta < math.pi):
-        raise DomainError(f"theta must lie strictly between 0 and pi, got {theta!r}")
+    theta = as_real(theta, "theta", 0, math.pi, closed=False)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     psi0 = np.array([c, s], dtype=np.complex128)
     psi1 = np.array([c, -s], dtype=np.complex128)

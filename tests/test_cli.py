@@ -124,14 +124,17 @@ class TestExitCodes:
 
 USAGE_ERRORS = [
     ("--format xml pbr-table", "invalid choice: 'xml'"),
-    *((f"--tolerance {t} pbr-table", "must be a positive finite number") for t in ("-1", "0", "nan", "inf")),
+    *(
+        (f"--tolerance {t} pbr-table", "zero-flag threshold must be a real number in (0, inf)")
+        for t in ("-1", "0", "nan", "inf")
+    ),
     ("feasibility --lambda-size 0", "invalid choice: 0"),
     ("feasibility --lambda-size 9", "invalid choice: 9"),
-    *((f"feasibility --q {q}", "overlap q must lie in [0, 1]") for q in ("-0.1", "1.5", "nan")),
+    *((f"feasibility --q {q}", "overlap q must be a real number in [0, 1]") for q in ("-0.1", "1.5", "nan")),
     ("feasibility --lambda-size 2 --q 0.5", "at least 3 ontic states"),
-    ("montecarlo --samples 0", "samples must be a positive integer"),
-    ("montecarlo --seed -1", "seed must be a non-negative integer"),
-    ("montecarlo --samples 100000000000000000000", "samples must be at most 2**63 - 1"),
+    ("montecarlo --samples 0", f"samples must be an integer in [1, {2**63}), got 0"),
+    ("montecarlo --seed -1", "seed must be an integer in [0, inf), got -1"),
+    ("montecarlo --samples 100000000000000000000", f"samples must be an integer in [1, {2**63}), got {10**20}"),
     ("theta", "required: --theta"),
     ("--lam 4 pbr-table", "invalid choice: '4'"),
     ("feasibility --lam 5", "unrecognized arguments: --lam 5"),

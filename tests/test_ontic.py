@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pbrcheck import (
     EPS_ZERO,
     DomainError,
     EpistemicDistribution,
+    MeasurementBasis,
     OnticSpace,
     PbrCheckError,
     ProbabilityTable,
@@ -23,6 +26,7 @@ from pbrcheck import (
     constant_response,
     feasibility,
     inner,
+    is_orthonormal_basis,
     joint,
     mixture,
     monte_carlo,
@@ -33,7 +37,9 @@ from pbrcheck import (
     pbr_target_rows,
     point_mass,
     state_assignment_response,
+    theta_pair,
     uniform,
+    zero_outcome_table,
 )
 from pbrcheck.ontic import _MC_BLOCK, _block_counts, _validate_instance
 from pbrcheck.quantum import as_state
@@ -61,7 +67,7 @@ def pbr_instance(mu0, mu1):
 class TestDistributions:
     def test_space_needs_positive_size(self):
         for size in (0, True, 2.0):
-            with pytest.raises(DomainError, match="ontic space size must be a positive integer"):
+            with pytest.raises(DomainError, match=r"ontic space size must be an integer in \[1, inf\)"):
                 OnticSpace(size)
 
     def test_space_size_of_any_integer_type(self):
@@ -656,7 +662,7 @@ class TestMonteCarlo:
 
     def test_invalid_samples(self):
         for samples in (0, True, 10.0):
-            with pytest.raises(DomainError, match="samples must be a positive integer"):
+            with pytest.raises(DomainError, match=re.escape(f"samples must be an integer in [1, {2**63})")):
                 monte_carlo(self.mu_zero, self.mu_plus, self.response, samples, 0)
 
     def test_samples_of_any_integer_type(self):
@@ -665,7 +671,7 @@ class TestMonteCarlo:
 
     def test_samples_beyond_int64_are_rejected(self):
         """The int64 outcome counts cannot hold more than 2**63 - 1 samples."""
-        with pytest.raises(DomainError, match="at most 2"):
+        with pytest.raises(DomainError, match=re.escape(f"samples must be an integer in [1, {2**63}), got {2**63}")):
             monte_carlo(self.mu_zero, self.mu_plus, self.response, 2**63, 0)
 
     def test_space_mismatch(self):
@@ -712,28 +718,145 @@ class TestOverlapPair:
 # --- every library rejection is a PbrCheckError ---
 
 
-@pytest.mark.parametrize(
-    "reject",
-    [
-        lambda: as_state([1.0, math.nan]),
-        lambda: born_distribution([1.0, 1.0], np.eye(2, dtype=complex)),
-        lambda: monte_carlo(*[uniform(OnticSpace(2))] * 2, constant_response(2, [0.5, 0.5]), 10, -1),
-        lambda: joint(uniform(OnticSpace(2)), uniform(OnticSpace(3))),
-        lambda: inner([1, 0], [1, 0, 0, 0]),
-        lambda: normalize([0.0, 0.0]),
-        lambda: born_distribution([1.0, 0.0], np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])),
-    ],
-    ids=[
-        "non-finite amplitudes",
-        "state not unit-norm",
-        "negative seed",
-        "joint over two spaces",
-        "inner across dimensions",
-        "zero vector",
+HALF = constant_response(2, [0.5, 0.5])
+TWO_UNIFORM = [uniform(OnticSpace(2))] * 2
+
+REJECTIONS = [
+    ("non-finite amplitudes", lambda: as_state([1.0, math.nan]), "amplitudes must be finite"),
+    ("state not unit-norm", lambda: born_distribution([1.0, 1.0], np.eye(2, dtype=complex)), "state must be unit-norm"),
+    ("negative seed", lambda: monte_carlo(*TWO_UNIFORM, HALF, 10, -1), "seed must be an integer in [0, inf), got -1"),
+    ("joint over two spaces", lambda: joint(uniform(OnticSpace(2)), uniform(OnticSpace(3))), "different ontic spaces"),
+    ("inner across dimensions", lambda: inner([1, 0], [1, 0, 0, 0]), "dimension mismatch: 2 vs 4"),
+    ("zero vector", lambda: normalize([0.0, 0.0]), "cannot normalize a vector with squared norm"),
+    (
         "skewed basis",
-    ],
-)
-def test_library_rejections_are_pbrcheck_errors(reject):
+        lambda: born_distribution([1.0, 0.0], np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])),
+        "measurement basis is not orthonormal",
+    ),
+    (
+        "mass shape off the space",
+        lambda: EpistemicDistribution(OnticSpace(3), [0.5, 0.5]),
+        "mass shape (2,) does not match space size 3",
+    ),
+    ("point mass off the space", lambda: point_mass(OnticSpace(2), 2), "index must be an integer in [0, 2), got 2"),
+    (
+        "response table not square",
+        lambda: ResponseFunction(np.full((2, 3, 2), 0.5)),
+        "response table must have shape (n, n, outcomes), got (2, 3, 2)",
+    ),
+    (
+        "response over no ontic state",
+        lambda: ResponseFunction(np.zeros((0, 0, 4))),
+        "response table must have shape (n, n, outcomes), got (0, 0, 4)",
+    ),
+    (
+        "constant response over no state",
+        lambda: constant_response(0, [1.0]),
+        "size must be an integer in [1, inf), got 0",
+    ),
+    (
+        "outcome rows not 2-D",
+        lambda: state_assignment_response([0], [0.5, 0.5]),
+        "outcome_rows must be 2-D, got shape (2,)",
+    ),
+    (
+        "outcome rows not one per state pair",
+        lambda: state_assignment_response([0], np.full((3, 2), 0.5)),
+        "outcome_rows needs one row per ordered state pair, got 3",
+    ),
+    (
+        "assignment off the states",
+        lambda: state_assignment_response([0, 2], np.full((4, 2), 0.5)),
+        "assignment entry must be an integer in [0, 2), got 2",
+    ),
+    (
+        "empty assignment",
+        lambda: state_assignment_response([], np.full((4, 2), 0.5)),
+        "response table must have shape (n, n, outcomes), got (0, 0, 2)",
+    ),
+    (
+        "response over another space",
+        lambda: monte_carlo(*TWO_UNIFORM, constant_response(3, [0.5, 0.5]), 10, 0),
+        "response over 3 states, space has 2",
+    ),
+    ("2-D state", lambda: as_state(np.eye(2)), "expected a 1-D amplitude vector, got shape (2, 2)"),
+    (
+        "non-finite basis",
+        lambda: MeasurementBasis(np.array([[1.0, 0.0], [0.0, math.inf]])),
+        "basis amplitudes must be finite",
+    ),
+    (
+        "1-D outcome set",
+        lambda: is_orthonormal_basis([1.0, 0.0]),
+        "expected a 2-D array of outcome kets, got shape (2,)",
+    ),
+    (
+        "table shape off its labels",
+        lambda: ProbabilityTable(("a",), ("x", "y"), [[0.5], [0.5]]),
+        "probability matrix shape (2, 1) does not match 1 row / 2 column labels",
+    ),
+    (
+        "zero threshold at 0",
+        lambda: ProbabilityTable(("a",), ("x",), [[1.0]], zero_threshold=0.0),
+        "zero_threshold must be a real number in (0, inf), got 0.0",
+    ),
+]
+
+
+@pytest.mark.parametrize(("reject", "message"), [r[1:] for r in REJECTIONS], ids=[r[0] for r in REJECTIONS])
+def test_library_rejections_are_pbrcheck_errors(reject, message):
     """Every refused input raises the one refusal class, a PbrCheckError and a ValueError."""
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(message)):
         reject()
+
+
+# --- every scalar parameter is read by one rule ---
+
+#: (site, the call with the scalar, the parameter's name, values it accepts); an int site accepts np.int64 first.
+SCALAR_SITES = [
+    ("ontic space size", OnticSpace, "ontic space size", [np.int64(3)]),
+    ("samples", lambda v: monte_carlo(*TWO_UNIFORM, HALF, v, 0), "samples", [np.int64(10)]),
+    ("seed", lambda v: monte_carlo(*TWO_UNIFORM, HALF, 10, v), "seed", [np.int64(3)]),
+    ("point mass index", lambda v: point_mass(OnticSpace(2), v), "index", [np.int64(1)]),
+    ("constant response size", lambda v: constant_response(v, [0.5, 0.5]), "size", [np.int64(2)]),
+    (
+        "assignment entry",
+        lambda v: state_assignment_response([0, v], np.full((4, 2), 0.5)),
+        "assignment entry",
+        [np.int64(1)],
+    ),
+    (
+        "overlap q",
+        lambda v: overlap_pair(OnticSpace(3), v),
+        "overlap q",
+        [np.float32(0.3), Fraction(1, 3), np.int64(1)],
+    ),
+    ("theta", theta_pair, "theta", [np.float32(1.0), Fraction(1, 3), np.int64(1)]),
+    ("zero threshold", zero_outcome_table, "zero_threshold", [np.float32(1e-9), Fraction(1, 10**9), np.int64(1)]),
+    (
+        "zero pairing outcome",
+        lambda v: pbr_contradiction(point_mass(OnticSpace(2), 0), point_mass(OnticSpace(2), 1), [(0, 0), (1, v)]),
+        "zero_pairing outcome",
+        [np.int64(1)],
+    ),
+]
+REFUSED = [
+    (site, call, name, value)
+    for site, call, name, accepted in SCALAR_SITES
+    for value in (True, "1", None, *([1.5] if isinstance(accepted[0], np.integer) else []))
+]
+ACCEPTED = [(site, call, value) for site, call, _, accepted in SCALAR_SITES for value in accepted]
+
+
+@pytest.mark.parametrize(("call", "name", "value"), [r[1:] for r in REFUSED], ids=[f"{r[0]}={r[3]!r}" for r in REFUSED])
+def test_scalars_of_the_wrong_kind_are_refused_by_name(call, name, value):
+    """``bool``, strings, ``None`` and, where an integer is read, a fraction are refused, never coerced."""
+    with pytest.raises(DomainError) as refused:
+        call(value)
+    assert str(refused.value).startswith(f"{name} must be a")
+    assert str(refused.value).endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize(("call", "value"), [a[1:] for a in ACCEPTED], ids=[f"{a[0]}={a[2]!r}" for a in ACCEPTED])
+def test_scalars_of_any_number_type_in_range_are_accepted(call, value):
+    call(value)

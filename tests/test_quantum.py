@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pbrcheck import (
     DomainError,
@@ -15,6 +17,7 @@ from pbrcheck import (
     normalize,
     tensor,
 )
+from pbrcheck.quantum import as_int, as_real
 from pbrcheck.scenarios import ket, xi_basis
 
 import oracles
@@ -193,3 +196,35 @@ class TestBornDistribution:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
             born_distribution([1.0, 1.0], np.eye(2, dtype=complex))
+
+
+# --- the two scalar readers ---
+
+
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+def test_as_int_takes_exactly_the_integers_of_its_range(value, low, high):
+    if low <= value < high:
+        for number in (value, np.int64(value)):
+            assert type(as_int(number, "n", low, high)) is int and as_int(number, "n", low, high) == value
+    else:
+        with pytest.raises(DomainError, match=rf"^n must be an integer in \[{low}, {high}\), got {value}$"):
+            as_int(value, "n", low, high)
+
+
+@given(st.one_of(st.floats(), st.integers(-2, 2), st.fractions(-2, 2)), st.booleans())
+def test_as_real_takes_exactly_the_reals_of_its_interval(value, closed):
+    if (0 <= value <= 1 if closed else 0 < value < 1) and not math.isnan(value):
+        assert as_real(value, "x", 0, 1, closed) == float(value)
+    else:
+        with pytest.raises(DomainError, match=r"^x must be a real number in [(\[]0, 1[)\]], got "):
+            as_real(value, "x", 0, 1, closed)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, "0.5", None, 1j, [0.5], 10**400],
+    ids=["True", "np.True_", "str", "None", "complex", "list", "beyond every float"],
+)
+def test_as_real_refuses_what_is_no_float_of_its_interval(value):
+    with pytest.raises(DomainError, match=r"^x must be a real number in \(0, inf\), got "):
+        as_real(value, "x", 0, math.inf, closed=False)
