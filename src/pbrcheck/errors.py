@@ -4,9 +4,9 @@
 class PbrCheckError(Exception):
     """Base class for every error raised by pbrcheck.
 
-    Raised as such only by :func:`pbrcheck.ontic.feasibility`, when the
-    solver fails or its answer proves neither verdict: the input was valid,
-    but no verdict could be proved for it.
+    Raised as such only by :func:`pbrcheck.ontic.feasibility`, when none of
+    its proofs holds: the input was valid, but no verdict could be proved
+    for it.
     """
 
 

@@ -14,18 +14,17 @@ actually reaches the detector.
 Whether such a model can reproduce given quantum statistics is a linear
 feasibility question in the response-function entries: nonnegativity,
 pointwise normalization, and one linear equality per (preparation, outcome).
-Only overlap can make it fail: while no pair is reached by preparations that
-expect different statistics, answering each pair with the target row of the
-preparations reaching it is a witness.  Otherwise :func:`feasibility` decides
-with one elastic LP solve.  Pairs whose joints are proportional across the
-preparations (equal likelihood ratios) are interchangeable, so the LP has one
-column per class of such pairs and sees the ontic space only through the
-likelihood ratios: states outside the overlap, whose ratios are 0 or infinite,
-add only a few classes however many they are.  It returns either a witness,
-re-checked over the original pairs, or a dual certificate, checked over the
-original pairs in exact arithmetic, that bounds the violation every response
-function must incur.  :class:`PbrCheckError` means no verdict: the solver
-failed and PBR's zero-cell dual cannot decide, or neither verdict is proved.
+:func:`feasibility` tries four proofs in a fixed order, and the first that
+holds decides: a direct witness, exact while no pair is reached by
+preparations that expect different statistics, so that only overlap can make
+it fail; the witness of one elastic LP; that LP's dual certificate; and PBR's
+zero-cell dual.  Witnesses are re-checked and certificates checked in exact
+arithmetic, over the original pairs.  The LP has one column per class of
+pairs whose joints are proportional across the preparations (equal
+likelihood ratios), so it sees the ontic space only through the likelihood
+ratios: states outside the overlap, whose ratios are 0 or infinite, add only
+a few classes however many they are.  :class:`PbrCheckError` means that no
+proof holds.
 :func:`pbr_contradiction` is the independent analytic shortcut for the
 four-preparation scenario with a zero-outcome pairing that covers every
 outcome.
@@ -60,6 +59,13 @@ class OnticSpace:
         object.__setattr__(self, "size", as_int(self.size, "ontic space size", 1))
 
 
+def _space_size(space) -> int:
+    """``space.size``, refused unless ``space`` is an :class:`OnticSpace`."""
+    if not isinstance(space, OnticSpace):
+        raise DomainError(f"space must be an OnticSpace, got {space!r}")
+    return space.size
+
+
 def _require_same_space(a: "EpistemicDistribution", b: "EpistemicDistribution") -> OnticSpace:
     if a.space != b.space:
         raise DomainError(f"distributions live on different ontic spaces: {a.space} vs {b.space}")
@@ -74,22 +80,24 @@ class EpistemicDistribution:
     mass: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mass, dtype=np.float64)
-        if m.shape != (self.space.size,):
-            raise DomainError(f"mass shape {m.shape} does not match space size {self.space.size}")
+        m, n = np.asarray(self.mass, dtype=np.float64), _space_size(self.space)
+        if m.shape != (n,):
+            raise DomainError(f"mass shape {m.shape} does not match space size {n}")
         object.__setattr__(self, "mass", as_distributions(m, "mass"))
 
 
 def point_mass(space: OnticSpace, index: int) -> EpistemicDistribution:
     """All mass on a single ontic state."""
-    m = np.zeros(space.size)
-    m[as_int(index, "index", 0, space.size)] = 1.0
+    n = _space_size(space)
+    m = np.zeros(n)
+    m[as_int(index, "index", 0, n)] = 1.0
     return EpistemicDistribution(space, m)
 
 
 def uniform(space: OnticSpace) -> EpistemicDistribution:
     """Uniform mass over the whole space."""
-    return EpistemicDistribution(space, np.full(space.size, 1.0 / space.size))
+    n = _space_size(space)
+    return EpistemicDistribution(space, np.full(n, 1.0 / n))
 
 
 def mixture(mu_a: EpistemicDistribution, mu_b: EpistemicDistribution) -> EpistemicDistribution:
@@ -144,6 +152,10 @@ def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, ze
     its "q > 0" answer until the benchmark's check of the ``feasibility``
     document accepts one that reads the proved bound.
     """
+    if not isinstance(zero_pairing, (list, tuple)) or any(
+        not isinstance(cell, (list, tuple)) or len(cell) != 2 for cell in zero_pairing
+    ):
+        raise DomainError(f"zero_pairing must be a list of (preparation, outcome) pairs, got {zero_pairing!r}")
     killed = {as_int(k, "zero_pairing outcome") for _, k in zero_pairing}
     return overlap(mu0, mu1).q > 0.0 and killed >= set(range(4))
 
@@ -329,6 +341,13 @@ def _witness(joints, targs, reached, rows) -> tuple[FeasibilityVerdict | None, n
     return FeasibilityVerdict(True, witness=ResponseFunction(table), max_residual=worst), misses
 
 
+def _infeasible(y, bound: Fraction, missed: str) -> FeasibilityVerdict:
+    """Infeasible verdict whose certificate ``y`` proves ``bound``; ``missed`` says what cannot be met."""
+    return FeasibilityVerdict(
+        False, violated_constraint=f"cannot satisfy: {missed}", certificate=y, violation_bound=float(bound)
+    )
+
+
 def feasibility(preparations, targets) -> FeasibilityVerdict:
     """Decide whether any response function reproduces the target statistics.
 
@@ -336,40 +355,39 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     preparation ``p`` and outcome ``k``,
     ``sum_pairs joint_p(l1, l2) * xi(k | l1, l2) = target_p(k)``.  The minimal
     total violation of the statistics equalities over all response functions
-    decides, and ``EPS_LP`` bounds it for both verdicts.
+    decides, and ``EPS_LP`` bounds it for both verdicts.  Four proofs are
+    tried in this order, and the first that holds decides:
 
-    Each reached pair first answers with the target row of the first
-    preparation that reaches it, which is exact when all preparations
-    reaching a pair expect the same row (disjoint supports, one preparation).
-    Only when that witness misses by more than ``EPS_LP``, in the overlap,
-    does one elastic LP run: ``min 1.(s+ + s-)`` subject to the
-    normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``.
-    The LP has one column per class of reached pairs with proportional joints
-    (see :func:`_pair_classes`), so ``x`` holds one response row per class:
-
-    * feasible when the optimal ``x``, each class's row given to every pair of
-      the class, passes the same check (see :func:`_witness`); it is the
-      witness, constant on each class, and ``max_residual`` its largest
-      residual over every constraint;
-    * infeasible when the statistics duals prove, in exact arithmetic over the
-      original pairs, that every response function misses them by more than
-      ``EPS_LP`` in total (``violation_bound``); ``violated_constraint`` names
-      the row the optimal ``x`` misses most.
+    1. The direct witness: each reached pair answers with the target row of
+       the first preparation that reaches it, which is exact when all
+       preparations reaching a pair expect the same row (disjoint supports,
+       one preparation).  A witness holds when it passes the check of
+       :func:`_witness`; ``max_residual`` is its largest residual over every
+       constraint.
+    2. The LP witness: one elastic LP, ``min 1.(s+ + s-)`` subject to the
+       normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``.
+       It has one column per class of reached pairs with proportional joints
+       (see :func:`_pair_classes`), so ``x`` holds one response row per class;
+       each class's row, given to every pair of the class, is the witness.
+    3. The LP certificate: the statistics duals prove, in exact arithmetic
+       over the original pairs, that every response function misses them by
+       more than ``EPS_LP`` in total (``violation_bound``);
+       ``violated_constraint`` names the row the optimal ``x`` misses most.
+    4. PBR's zero-cell dual, -1 on target cells at or below ``EPS_ZERO`` and
+       +1 elsewhere (see :func:`pbr_contradiction`), proves such a bound the
+       same way when the solver failed or its certificate fell short;
+       ``violated_constraint`` then states only the proved bound, since no
+       row is known to be missed most.
 
     Classes are found by float equality, which does not make the joints of a
     class exactly proportional, and a bound proved over classes would hold
     only if they were; checking both verdicts over the original pairs keeps
     them proved.
 
-    When the solver fails, PBR's zero-cell dual (-1 on target cells at or
-    below ``EPS_ZERO``, +1 elsewhere; see :func:`pbr_contradiction`) may
-    still prove infeasibility; ``violated_constraint`` then states only the
-    proved bound, since no row is known to be missed most.
-
-    Raises :class:`PbrCheckError` when the solver fails and that dual proves
-    at most ``EPS_LP``, or when the solver's answer proves neither verdict.
-    Near the threshold this decision and :func:`pbr_contradiction` can
-    differ (see there).
+    When no proof holds, :class:`PbrCheckError` names what failed (the
+    solver, or the LP witness's miss and its certificate's bound) and what
+    the zero-cell dual proved.  Near the threshold this decision and
+    :func:`pbr_contradiction` can differ (see there).
     """
     joints, targs = _validate_instance(preparations, targets)
     n, k = joints.shape[1], targs.shape[1]
@@ -390,39 +408,29 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
 
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-    if res.status != 0:
-        y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
+    failure = f"LP solver failed: {res.message}"
+    if res.status == 0:
+        # Each reached pair takes its class's row.
+        rows = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
+        verdict, misses = _witness(joints, targs, reached, rows)
+        if verdict is not None:
+            return verdict
+        y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
         bound = _certified_bound(flats, targs, y)
-        if bound <= EPS_LP:
-            raise PbrCheckError(f"LP solver failed: {res.message}")
-        missed = f"every response function misses the statistics by at least {float(bound):.3e} in total"
-        return FeasibilityVerdict(
-            False, violated_constraint=f"cannot satisfy: {missed} (zero-cell dual; LP solver failed)",
-            certificate=y, violation_bound=float(bound),
-        )
-    # Each reached pair takes its class's row.
-    rows = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
-    verdict, misses = _witness(joints, targs, reached, rows)
-    if verdict is not None:
-        return verdict
-    y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
+        if bound > EPS_LP:
+            prep, out = np.unravel_index(np.argmax(misses), misses.shape)
+            return _infeasible(
+                y, bound, f"preparation {prep}: outcome {out + 1} probability must equal {targs[prep, out]:.12g} "
+                f"(off by {misses[prep, out]:.3e}; minimal total violation {res.fun * EPS_LP:.3e}, "
+                f"certified at least {float(bound):.3e})",
+            )
+        failure = f"the LP witness misses by {misses.sum():.3e} in total, its certificate proves only {float(bound):.3e}"
+    y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
     bound = _certified_bound(flats, targs, y)
-    if bound <= EPS_LP:
-        raise PbrCheckError(
-            f"neither verdict is proved: the witness misses by {misses.sum():.3e} in total, "
-            f"the certificate proves only {float(bound):.3e}"
-        )
-    prep, out = np.unravel_index(np.argmax(misses), misses.shape)
-    return FeasibilityVerdict(
-        False,
-        violated_constraint=(
-            f"cannot satisfy: preparation {prep}: outcome {out + 1} probability must equal "
-            f"{targs[prep, out]:.12g} (off by {misses[prep, out]:.3e}; "
-            f"minimal total violation {res.fun * EPS_LP:.3e}, certified at least {float(bound):.3e})"
-        ),
-        certificate=y,
-        violation_bound=float(bound),
-    )
+    if bound > EPS_LP:
+        missed = f"every response function misses the statistics by at least {float(bound):.3e} in total"
+        return _infeasible(y, bound, f"{missed} (zero-cell dual; {failure})")
+    raise PbrCheckError(f"neither verdict is proved: {failure}; the zero-cell dual proves only {float(bound):.3e}")
 
 
 def _block_seed(root: np.random.SeedSequence, block: int) -> np.random.SeedSequence:
@@ -497,8 +505,7 @@ def overlap_pair(space: OnticSpace, q: float) -> tuple[EpistemicDistribution, Ep
     the index range 1..size-2.  Needs size >= 3 when q > 0 and size >= 2 when
     q = 0.
     """
-    q = as_real(q, "overlap q", 0, 1)
-    n = space.size
+    q, n = as_real(q, "overlap q", 0, 1), _space_size(space)
     if q == 0.0:
         if n < 2:
             raise DomainError("q = 0 needs at least 2 ontic states for disjoint point masses")

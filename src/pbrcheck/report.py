@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .ontic import FeasibilityVerdict
-from .scenarios import ProbabilityTable
+from .scenarios import ProbabilityTable, payload_field
 
 
 def _fmt(x: float) -> str:
@@ -42,13 +42,13 @@ class ReportDocument:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ReportDocument":
-        """Rebuild a document, revalidating every table's invariants."""
+        """Rebuild a document, revalidating every table's invariants; a missing key or a wrong type is refused."""
         return cls(
-            scenario=str(payload["scenario"]),
-            tables=[ProbabilityTable.from_dict(t) for t in payload["tables"]],
-            verdicts=list(payload["verdicts"]),
-            metadata=dict(payload["metadata"]),
-            extras=dict(payload["extras"]),
+            scenario=payload_field(payload, "scenario", str),
+            tables=[ProbabilityTable.from_dict(t) for t in payload_field(payload, "tables", list)],
+            verdicts=payload_field(payload, "verdicts", list),
+            metadata=payload_field(payload, "metadata", dict),
+            extras=payload_field(payload, "extras", dict),
         )
 
     def to_json(self) -> str:

@@ -88,6 +88,22 @@ def xi_basis() -> MeasurementBasis:
     return MeasurementBasis(np.array([xi1, xi2, xi3, xi4]))
 
 
+def payload_field(payload, key: str, kind: type = object):
+    """``payload[key]`` of a document read back, refused unless ``payload`` is a dict holding a ``kind`` there."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise DomainError(f"document has no {key!r}")
+    if not isinstance(payload[key], kind):
+        raise DomainError(f"{key} must be a {kind.__name__}, got {payload[key]!r}")
+    return payload[key]
+
+
+def _labels(labels, what: str) -> tuple[str, ...]:
+    """``labels`` as a tuple: a list or tuple of ``str``, never one ``str`` read as its characters."""
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(label, str) for label in labels):
+        raise DomainError(f"{what} must be a list or tuple of str, got {labels!r}")
+    return tuple(labels)
+
+
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Preparation-vs-outcome probability matrix with zero flags.
@@ -105,7 +121,9 @@ class ProbabilityTable:
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=np.float64)
-        rows, cols = tuple(self.row_labels), tuple(self.column_labels)
+        rows, cols = _labels(self.row_labels, "row_labels"), _labels(self.column_labels, "column_labels")
+        if not isinstance(self.title, str):
+            raise DomainError(f"title must be a str, got {self.title!r}")
         if probs.ndim != 2 or probs.shape != (len(rows), len(cols)):
             raise DomainError(
                 f"probability matrix shape {probs.shape} does not match "
@@ -145,19 +163,21 @@ class ProbabilityTable:
     def from_dict(cls, payload: dict) -> "ProbabilityTable":
         """Rebuild a table from :meth:`to_dict` output, revalidating invariants.
 
-        The redundant ``zero_flags``/``row_sums`` entries must match what the
-        rebuilt table computes, so a corrupted document fails loudly.
+        Values pass through unconverted, so the constructor refuses what it
+        would refuse from a caller.  The redundant ``zero_flags``/``row_sums``
+        entries must match what the rebuilt table computes, so a corrupted
+        document fails loudly.
         """
         table = cls(
-            row_labels=tuple(payload["row_labels"]),
-            column_labels=tuple(payload["column_labels"]),
-            probabilities=np.array(payload["probabilities"], dtype=np.float64),
-            zero_threshold=payload["zero_threshold"],
-            title=str(payload.get("title", "")),
+            row_labels=payload_field(payload, "row_labels", list),
+            column_labels=payload_field(payload, "column_labels", list),
+            probabilities=payload_field(payload, "probabilities", list),
+            zero_threshold=payload_field(payload, "zero_threshold"),
+            title=payload_field(payload, "title"),
         )
-        if payload["zero_flags"] != table.zero_flags.tolist():
+        if payload_field(payload, "zero_flags", list) != table.zero_flags.tolist():
             raise DomainError("serialized zero_flags do not match the probabilities")
-        if not np.array_equal(payload["row_sums"], table.row_sums()):
+        if not np.array_equal(payload_field(payload, "row_sums", list), table.row_sums()):
             raise DomainError("serialized row_sums do not match the probabilities")
         return table
 

@@ -368,15 +368,17 @@ class TestFeasibility:
 
 
 @contextlib.contextmanager
-def counted_linprog():
-    """The list of calls made to ``scipy.optimize.linprog`` inside the block."""
+def counted_linprog(alter=lambda res: None):
+    """The list of calls made to ``scipy.optimize.linprog`` inside the block; ``alter`` edits each result."""
     import scipy.optimize
 
     calls, solve = [], scipy.optimize.linprog
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return solve(*args, **kwargs)
+        res = solve(*args, **kwargs)
+        alter(res)
+        return res
 
     scipy.optimize.linprog = counted
     try:
@@ -440,6 +442,37 @@ def test_pairs_where_the_lp_solver_fails_are_infeasible(m0, m1, bound):
     exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
     assert exact > EPS_LP
     assert float(exact) == pytest.approx(bound, rel=1e-4)
+
+
+def test_a_failed_solve_the_zero_cell_dual_cannot_decide_raises():
+    """At q = 1e-4 the zero-cell dual proves only 2 q**2 = 2e-8 <= EPS_LP, so no proof holds."""
+
+    def fail(res):
+        res.status, res.message = 4, "forced failure"
+
+    preparations, targets = pbr_instance(*overlap_pair(OnticSpace(4), 1e-4))
+    with counted_linprog(fail) as calls, pytest.raises(PbrCheckError) as raised:
+        feasibility(preparations, targets)
+    assert len(calls) == 1 and type(raised.value) is PbrCheckError
+    assert str(raised.value) == (
+        "neither verdict is proved: LP solver failed: forced failure; the zero-cell dual proves only 2.000e-08"
+    )
+
+
+def test_an_lp_certificate_that_falls_short_leaves_the_verdict_to_the_zero_cell_dual():
+    """With its duals zeroed the LP proves nothing, and the zero-cell dual proves 2 q**2 = 0.18."""
+
+    def zero_duals(res):
+        res.eqlin.marginals[:] = 0.0
+
+    preparations, targets = pbr_instance(*overlap_pair(OnticSpace(4), 0.3))
+    with counted_linprog(zero_duals) as calls:
+        verdict = feasibility(preparations, targets)
+    assert (len(calls), verdict.feasible) == (1, False)
+    np.testing.assert_array_equal(verdict.certificate, np.where(np.ravel(targets) <= EPS_ZERO, -1.0, 1.0))
+    exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
+    assert exact > EPS_LP and float(exact) == pytest.approx(2 * 0.3**2)
+    assert "(zero-cell dual; the LP witness misses by " in verdict.violated_constraint
 
 
 @pytest.mark.xfail(strict=True, raises=PbrCheckError, reason="HiGHS's rows exceed 1 within its primal tolerance")
@@ -739,6 +772,10 @@ REJECTIONS = [
         "mass shape (2,) does not match space size 3",
     ),
     ("point mass off the space", lambda: point_mass(OnticSpace(2), 2), "index must be an integer in [0, 2), got 2"),
+    ("distribution over an int", lambda: EpistemicDistribution(3, [1.0, 0.0, 0.0]), "space must be an OnticSpace, got 3"),
+    ("overlap pair over an int", lambda: overlap_pair(4, 0.3), "space must be an OnticSpace, got 4"),
+    ("point mass over an int", lambda: point_mass(2, 0), "space must be an OnticSpace, got 2"),
+    ("uniform over an int", lambda: uniform(3), "space must be an OnticSpace, got 3"),
     (
         "response table not square",
         lambda: ResponseFunction(np.full((2, 3, 2), 0.5)),
@@ -794,6 +831,14 @@ REJECTIONS = [
         "table shape off its labels",
         lambda: ProbabilityTable(("a",), ("x", "y"), [[0.5], [0.5]]),
         "probability matrix shape (2, 1) does not match 1 row / 2 column labels",
+    ),
+    *(
+        (
+            f"zero pairing {pairing!r}",
+            lambda pairing=pairing: pbr_contradiction(*overlap_pair(OnticSpace(3), 0.5), pairing),
+            f"zero_pairing must be a list of (preparation, outcome) pairs, got {pairing!r}",
+        )
+        for pairing in ([(1,)], [(0, 0, 9)], 5, None)
     ),
     (
         "zero threshold at 0",

@@ -1,6 +1,7 @@
 """Tests for the scenario constructors and probability tables."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pbrcheck import (
     zero_outcome_table,
 )
 
+from pbrcheck.report import ReportDocument
 from pbrcheck.scenarios import mz_scenario, pbr_scenario, table_for_states
 
 import oracles
@@ -267,6 +269,53 @@ class TestProbabilityTable:
         payload["row_sums"] = row_sums
         with pytest.raises(DomainError, match="row_sums"):
             ProbabilityTable.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        ("rows", "columns", "title", "message"),
+        [
+            ("ab", ("x", "y"), "", "row_labels must be a list or tuple of str, got 'ab'"),
+            (("a", "b"), "xy", "", "column_labels must be a list or tuple of str, got 'xy'"),
+            (("a", 1), ("x", "y"), "", "row_labels must be a list or tuple of str, got ('a', 1)"),
+            (("a", "b"), ("x", "y"), 5, "title must be a str, got 5"),
+        ],
+        ids=["str-rows", "str-columns", "int-label", "int-title"],
+    )
+    def test_labels_and_title_are_refused_not_coerced(self, rows, columns, title, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ProbabilityTable(rows, columns, np.eye(2), title=title)
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("title", 5, "title must be a str, got 5"),
+            ("row_labels", "abcd", "row_labels must be a list, got 'abcd'"),
+            ("zero_flags", None, "document has no 'zero_flags'"),
+        ],
+        ids=["int-title", "str-row-labels", "no-zero-flags"],
+    )
+    def test_from_dict_refuses_what_it_would_coerce(self, key, value, message):
+        """A value of None drops the key from the payload."""
+        payload = zero_outcome_table().to_dict()
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ProbabilityTable.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ('{"scenario": "pbr", "tables": [], "verdicts": "ab", "metadata": {}, "extras": {}}',
+             "verdicts must be a list, got 'ab'"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [], "metadata": {}}', "document has no 'extras'"),
+            ("[]", "document has no 'scenario'"),
+        ],
+        ids=["str-verdicts", "no-extras", "not-an-object"],
+    )
+    def test_documents_are_refused_not_coerced(self, text, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ReportDocument.from_json(text)
 
     def test_rejects_non_distribution_rows(self):
         with pytest.raises(DomainError):
