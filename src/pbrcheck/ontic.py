@@ -14,16 +14,18 @@ actually reaches the detector.
 Whether such a model can reproduce given quantum statistics is a linear
 feasibility question in the response-function entries: nonnegativity,
 pointwise normalization, and one linear equality per (preparation, outcome).
-:func:`feasibility` tries four proofs in a fixed order, and the first that
-holds decides: a direct witness, exact while no pair is reached by
+:func:`feasibility` takes five steps in a fixed order, and the first proof
+that holds decides: a direct witness, exact while no pair is reached by
 preparations that expect different statistics, so that only overlap can make
-it fail; the witness of one elastic LP; that LP's dual certificate; and PBR's
-zero-cell dual.  Witnesses are re-checked and certificates checked in exact
-arithmetic, over the original pairs.  The LP has one column per class of
-pairs whose joints are proportional across the preparations (equal
-likelihood ratios), so it sees the ontic space only through the likelihood
-ratios: states outside the overlap, whose ratios are 0 or infinite, add only
-a few classes however many they are.  :class:`PbrCheckError` means that no
+it fail; PBR's zero-cell dual, when the compensation witness misses by no more
+than it proves, so that no LP could add anything; the witness of one elastic
+LP; that LP's dual certificate; and the zero-cell dual again.  Witnesses are
+re-checked and certificates checked in exact arithmetic, over the original
+pairs.  The LP has one column per class of pairs whose joints are
+proportional across the preparations (equal likelihood ratios), so it sees
+the ontic space only through the likelihood ratios: states outside the
+overlap, whose ratios are 0 or infinite, add only a few classes however many
+they are.  :class:`PbrCheckError` means that no
 proof holds.
 :func:`pbr_contradiction` is the independent analytic shortcut for the
 four-preparation scenario with a zero-outcome pairing that covers every
@@ -38,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PbrCheckError
-from .quantum import EPS_PROB, EPS_ZERO, as_distributions, as_int, as_real
+from .quantum import EPS_PROB, EPS_ZERO, as_array, as_distributions, as_int, as_real
 
 #: Tolerance on the total violation of the LP equality constraints (elastic
 #: solve, witness re-check and infeasibility certificate).
@@ -80,7 +82,7 @@ class EpistemicDistribution:
     mass: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m, n = np.asarray(self.mass, dtype=np.float64), _space_size(self.space)
+        m, n = as_array(self.mass, "mass"), _space_size(self.space)
         if m.shape != (n,):
             raise DomainError(f"mass shape {m.shape} does not match space size {n}")
         object.__setattr__(self, "mass", as_distributions(m, "mass"))
@@ -171,7 +173,7 @@ class ResponseFunction:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
+        t = as_array(self.table, "response table")
         if t.ndim != 3 or t.shape[0] != t.shape[1] or 0 in t.shape:
             raise DomainError(f"response table must have shape (n, n, outcomes), got {t.shape}")
         object.__setattr__(self, "table", as_distributions(t, "response row"))
@@ -187,7 +189,7 @@ class ResponseFunction:
 
 def constant_response(size: int, probs) -> ResponseFunction:
     """Response that ignores the physical pair and always answers with ``probs``."""
-    p = np.asarray(probs, dtype=np.float64)
+    p = as_array(probs, "probs")
     size = as_int(size, "size", 1)
     return ResponseFunction(np.broadcast_to(p, (size, size, p.size)).copy())
 
@@ -200,7 +202,7 @@ def state_assignment_response(assignment, outcome_rows) -> ResponseFunction:
     ``outcome_rows`` has one outcome distribution per ordered state pair,
     row-major: pair (s1, s2) at index ``s1 * S + s2``.
     """
-    rows = np.asarray(outcome_rows, dtype=np.float64)
+    rows = as_array(outcome_rows, "outcome_rows")
     if rows.ndim != 2:
         raise DomainError(f"outcome_rows must be 2-D, got shape {rows.shape}")
     n_states = int(round(np.sqrt(rows.shape[0])))
@@ -234,8 +236,8 @@ class FeasibilityVerdict:
 
 def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     """Stacked joints ``(p, n, n)`` and target rows ``(p, k)`` of a checked instance."""
-    preps = [np.asarray(j, dtype=np.float64) for j in preparations]
-    targs = [np.asarray(t, dtype=np.float64) for t in targets]
+    preps = [as_array(j, "joint") for j in preparations]
+    targs = [as_array(t, "target row") for t in targets]
     if not preps or len(preps) != len(targs):
         raise DomainError(f"{len(preps)} preparations for {len(targs)} target rows")
     n = preps[0].shape[0] if preps[0].ndim == 2 else -1
@@ -348,6 +350,38 @@ def _infeasible(y, bound: Fraction, missed: str) -> FeasibilityVerdict:
     )
 
 
+def _missed_most(targs, misses, total, bound: Fraction) -> str:
+    """What an infeasible verdict cannot meet: the row ``misses`` misses most, the ``total`` and the proved ``bound``."""
+    prep, out = np.unravel_index(np.argmax(misses), misses.shape)
+    return (
+        f"preparation {prep}: outcome {out + 1} probability must equal {targs[prep, out]:.12g} "
+        f"(off by {misses[prep, out]:.3e}; minimal total violation {total:.3e}, certified at least {float(bound):.3e})"
+    )
+
+
+def _compensation_misses(flats, joints, targs, reached) -> np.ndarray:
+    """Misses of the compensation witness, the primal partner of the zero-cell dual.
+
+    A pair reached by several preparations answers with their posterior
+    mixture ``sum_p joint_p t_p / sum_p joint_p`` of target rows, less every
+    outcome that one of their targets puts at or below ``EPS_ZERO`` (the plain
+    mixture if that leaves nothing).  The pairs reached by preparation ``p``
+    alone share the row ``max(t_p - what the shared pairs give p, 0)``, or
+    ``t_p`` if that row is all zero, and so absorb what the shared pairs got
+    wrong for ``p``.
+    """
+    reach = flats > 0.0
+    mix = flats.T @ targs / flats.sum(axis=0)[:, None]
+    kept = np.where(reach.T @ (targs <= EPS_ZERO), 0.0, mix)
+    rows = np.where(kept.sum(axis=1, keepdims=True) > 0.0, kept, mix)
+    rows /= rows.sum(axis=1, keepdims=True)
+    shared = reach.sum(axis=0) > 1
+    owed = np.maximum(targs - flats[:, shared] @ rows[shared], 0.0)
+    owed = np.where(owed.sum(axis=1, keepdims=True) > 0.0, owed, targs)
+    rows[~shared] = owed[np.argmax(reach[:, ~shared], axis=0)]
+    return _witness(joints, targs, reached, rows)[1]
+
+
 def feasibility(preparations, targets) -> FeasibilityVerdict:
     """Decide whether any response function reproduces the target statistics.
 
@@ -355,8 +389,8 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     preparation ``p`` and outcome ``k``,
     ``sum_pairs joint_p(l1, l2) * xi(k | l1, l2) = target_p(k)``.  The minimal
     total violation of the statistics equalities over all response functions
-    decides, and ``EPS_LP`` bounds it for both verdicts.  Four proofs are
-    tried in this order, and the first that holds decides:
+    decides, and ``EPS_LP`` bounds it for both verdicts.  Five steps are
+    taken in this order, and the first proof that holds decides:
 
     1. The direct witness: each reached pair answers with the target row of
        the first preparation that reaches it, which is exact when all
@@ -364,20 +398,26 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
        one preparation).  A witness holds when it passes the check of
        :func:`_witness`; ``max_residual`` is its largest residual over every
        constraint.
-    2. The LP witness: one elastic LP, ``min 1.(s+ + s-)`` subject to the
+    2. PBR's zero-cell dual, -1 on target cells at or below ``EPS_ZERO`` and
+       +1 elsewhere (see :func:`pbr_contradiction`), proves a bound on every
+       response function's total violation.  When it exceeds ``EPS_LP`` and
+       the compensation witness (:func:`_compensation_misses`) misses by at
+       most the bound plus ``EPS_LP``, the two pin the minimal violation, and
+       the verdict is infeasible with no LP solved.  That witness proves
+       nothing itself: it only decides whether the LP can add anything.
+    3. The LP witness: one elastic LP, ``min 1.(s+ + s-)`` subject to the
        normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``.
        It has one column per class of reached pairs with proportional joints
        (see :func:`_pair_classes`), so ``x`` holds one response row per class;
        each class's row, given to every pair of the class, is the witness.
-    3. The LP certificate: the statistics duals prove, in exact arithmetic
+    4. The LP certificate: the statistics duals prove, in exact arithmetic
        over the original pairs, that every response function misses them by
        more than ``EPS_LP`` in total (``violation_bound``);
        ``violated_constraint`` names the row the optimal ``x`` misses most.
-    4. PBR's zero-cell dual, -1 on target cells at or below ``EPS_ZERO`` and
-       +1 elsewhere (see :func:`pbr_contradiction`), proves such a bound the
-       same way when the solver failed or its certificate fell short;
-       ``violated_constraint`` then states only the proved bound, since no
-       row is known to be missed most.
+    5. The zero-cell dual's bound of step 2, computed once, decides when it
+       exceeds ``EPS_LP`` and the solver failed or its certificate fell
+       short; ``violated_constraint`` then states only the proved bound,
+       since no row is known to be missed most.
 
     Classes are found by float equality, which does not make the joints of a
     class exactly proportional, and a bound proved over classes would hold
@@ -399,6 +439,12 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     verdict, _ = _witness(joints, targs, reached, targs[np.argmax(flats != 0.0, axis=0)])
     if verdict is not None:
         return verdict
+    zero_y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
+    zero_bound = _certified_bound(flats, targs, zero_y)
+    if zero_bound > EPS_LP:
+        misses = _compensation_misses(flats, joints, targs, reached)
+        if misses.sum() <= zero_bound + EPS_LP:
+            return _infeasible(zero_y, zero_bound, _missed_most(targs, misses, misses.sum(), zero_bound))
     label, columns = _pair_classes(flats)
     classes = columns.shape[1]
     a_eq, b_eq = _assemble_equalities(columns, targs)
@@ -418,19 +464,12 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
         y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
         bound = _certified_bound(flats, targs, y)
         if bound > EPS_LP:
-            prep, out = np.unravel_index(np.argmax(misses), misses.shape)
-            return _infeasible(
-                y, bound, f"preparation {prep}: outcome {out + 1} probability must equal {targs[prep, out]:.12g} "
-                f"(off by {misses[prep, out]:.3e}; minimal total violation {res.fun * EPS_LP:.3e}, "
-                f"certified at least {float(bound):.3e})",
-            )
+            return _infeasible(y, bound, _missed_most(targs, misses, res.fun * EPS_LP, bound))
         failure = f"the LP witness misses by {misses.sum():.3e} in total, its certificate proves only {float(bound):.3e}"
-    y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
-    bound = _certified_bound(flats, targs, y)
-    if bound > EPS_LP:
-        missed = f"every response function misses the statistics by at least {float(bound):.3e} in total"
-        return _infeasible(y, bound, f"{missed} (zero-cell dual; {failure})")
-    raise PbrCheckError(f"neither verdict is proved: {failure}; the zero-cell dual proves only {float(bound):.3e}")
+    if zero_bound > EPS_LP:
+        missed = f"every response function misses the statistics by at least {float(zero_bound):.3e} in total"
+        return _infeasible(zero_y, zero_bound, f"{missed} (zero-cell dual; {failure})")
+    raise PbrCheckError(f"neither verdict is proved: {failure}; the zero-cell dual proves only {float(zero_bound):.3e}")
 
 
 def _block_seed(root: np.random.SeedSequence, block: int) -> np.random.SeedSequence:

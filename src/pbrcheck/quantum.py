@@ -9,7 +9,9 @@ exactly as the caller writes them; every quantity this module reports
 Every scalar a caller passes to pbrcheck is read by one rule: :func:`as_int`
 takes any ``numbers.Integral`` in ``[low, high)``, :func:`as_real` any
 ``numbers.Real`` but NaN in a closed or open interval.  Neither takes ``bool``,
-and each refusal is a :class:`DomainError` that names the parameter.
+and each refusal is a :class:`DomainError` that names the parameter.  Every
+array is read by :func:`as_array`, which refuses by name what numpy cannot
+convert: strings that are not numbers, ragged nesting, dicts.
 """
 
 from __future__ import annotations
@@ -35,17 +37,25 @@ def as_distributions(values, what: str, sum_tol: float = EPS_PROB) -> np.ndarray
 
     Entries must be finite and at least ``-EPS_ZERO`` (dust below 0 becomes 0); rows must sum to 1 within ``sum_tol``.
     """
-    p = np.array(values, dtype=np.float64)
+    p = as_array(values, what)
     if not np.isfinite(p).all():
         raise DomainError(f"each {what} must be finite")
     if (p < -EPS_ZERO).any():
         raise DomainError(f"each {what} must be nonnegative, got min {p.min()!r}")
-    np.maximum(p, 0.0, out=p)
+    p = np.maximum(p, 0.0)  # a new array, so the caller's is never written
     off = np.abs(p.sum(axis=-1) - 1.0)
     if (off > sum_tol).any():
         raise DomainError(f"each {what} must be normalized to within {sum_tol!r}, but a sum is off 1 by {off.max()!r}")
     p.setflags(write=False)
     return p
+
+
+def as_array(values, what: str, dtype=np.float64) -> np.ndarray:
+    """``values`` as a ``dtype`` array, not copied when it is one already; what numpy cannot convert is refused."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as error:
+        raise DomainError(f"{what} must be a rectangular array of numbers ({error})") from None
 
 
 def as_int(value, what: str, low: int = 0, high: float = math.inf) -> int:
@@ -73,7 +83,7 @@ def as_state(values) -> np.ndarray:
 
     Rejects empty, multi-dimensional and non-finite input.
     """
-    v = np.asarray(values, dtype=np.complex128)
+    v = as_array(values, "amplitude vector", np.complex128)
     if v.ndim != 1 or v.size < 1:
         raise DomainError(f"expected a 1-D amplitude vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -126,7 +136,7 @@ class MeasurementBasis:
     outcomes: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.outcomes, dtype=np.complex128)
+        m = as_array(self.outcomes, "basis outcomes", np.complex128).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DomainError(f"a complete basis needs dim outcome vectors of length dim, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -149,7 +159,7 @@ def is_orthonormal_basis(basis) -> bool:
     Accepts a :class:`MeasurementBasis` or a plain ``(k, dim)`` array of
     outcome kets (the set need not be complete for the predicate itself).
     """
-    m = basis.outcomes if isinstance(basis, MeasurementBasis) else np.asarray(basis, dtype=np.complex128)
+    m = basis.outcomes if isinstance(basis, MeasurementBasis) else as_array(basis, "outcome kets", np.complex128)
     if m.ndim != 2 or m.shape[0] < 1:
         raise DomainError(f"expected a 2-D array of outcome kets, got shape {m.shape}")
     gram = m.conj() @ m.T

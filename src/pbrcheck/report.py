@@ -13,6 +13,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 
+from .errors import DomainError
 from .ontic import FeasibilityVerdict
 from .scenarios import ProbabilityTable, payload_field
 
@@ -46,7 +47,7 @@ class ReportDocument:
         return cls(
             scenario=payload_field(payload, "scenario", str),
             tables=[ProbabilityTable.from_dict(t) for t in payload_field(payload, "tables", list)],
-            verdicts=payload_field(payload, "verdicts", list),
+            verdicts=[_verdict_entry(v) for v in payload_field(payload, "verdicts", list)],
             metadata=payload_field(payload, "metadata", dict),
             extras=payload_field(payload, "extras", dict),
         )
@@ -105,6 +106,13 @@ class ReportDocument:
         if fmt == "text":
             return self.to_text()
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _verdict_entry(verdict) -> dict:
+    """A verdict entry read back, refused unless it is a dict whose status is "feasible" or "infeasible"."""
+    if payload_field(verdict, "status", str) not in ("feasible", "infeasible"):
+        raise DomainError(f"status must be 'feasible' or 'infeasible', got {verdict['status']!r}")
+    return verdict
 
 
 def _render_value(value) -> str:

@@ -23,6 +23,7 @@ from .errors import DomainError
 from .quantum import (
     EPS_PROB,
     MeasurementBasis,
+    as_array,
     as_distributions,
     as_real,
     born_distribution,
@@ -120,7 +121,7 @@ class ProbabilityTable:
     title: str = ""
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=np.float64)
+        probs = as_array(self.probabilities, "probabilities")
         rows, cols = _labels(self.row_labels, "row_labels"), _labels(self.column_labels, "column_labels")
         if not isinstance(self.title, str):
             raise DomainError(f"title must be a str, got {self.title!r}")

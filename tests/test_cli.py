@@ -514,8 +514,10 @@ def test_only_lp_commands_import_scipy():
     """scipy is loaded by the first LP verdict, and by nothing before it.
 
     Feasible verdicts whose witness needs no LP load none: disjoint supports
-    (pbr, q = 0) and the single mz preparation.  An overlapping pbr instance
-    solves the LP.  No command loads click."""
+    (pbr, q = 0) and the single mz preparation.  Nor does an overlapping pbr
+    instance outside the band, whose V* the zero-cell dual and the
+    compensation witness pin.  Inside the band (q = 1e-4) the LP decides.
+    No command loads click."""
     script = """
 import json, sys
 import pbrcheck
@@ -523,12 +525,12 @@ from pbrcheck import cli
 loaded = {"import pbrcheck": "scipy" in sys.modules}
 for argv in (
     ["--version"], ["pbr-table"], ["mz"], ["theta", "--theta", "1.0"], ["montecarlo", "--samples", "1000"],
-    ["feasibility"], ["feasibility", "--scenario", "mz", "--q", "0.5"],
+    ["feasibility"], ["feasibility", "--scenario", "mz", "--q", "0.5"], ["feasibility", "--q", "0.3"],
 ):
     cli.main(argv)
     loaded[" ".join(argv)] = "scipy" in sys.modules
-cli.main(["feasibility", "--q", "0.3"])
-loaded["feasibility --q 0.3"] = "scipy.optimize" in sys.modules
+cli.main(["feasibility", "--q", "1e-4"])
+loaded["feasibility --q 1e-4"] = "scipy.optimize" in sys.modules
 loaded["click"] = "click" in sys.modules
 print(json.dumps(loaded), file=sys.stderr)
 """
@@ -544,6 +546,7 @@ print(json.dumps(loaded), file=sys.stderr)
         "montecarlo --samples 1000": False,
         "feasibility": False,
         "feasibility --scenario mz --q 0.5": False,
-        "feasibility --q 0.3": True,
+        "feasibility --q 0.3": False,
+        "feasibility --q 1e-4": True,
         "click": False,
     }

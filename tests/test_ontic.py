@@ -43,7 +43,7 @@ from pbrcheck import (
 )
 from pbrcheck.ontic import _MC_BLOCK, _block_counts, _validate_instance
 from pbrcheck.quantum import as_state
-from pbrcheck.scenarios import mz_scenario, pbr_scenario
+from pbrcheck.scenarios import mz_scenario, pbr_scenario, xi_basis
 
 import oracles
 from strategies import distributions, probability_rows
@@ -387,8 +387,22 @@ def counted_linprog(alter=lambda res: None):
         scipy.optimize.linprog = solve
 
 
+#: An overlapping PBR pair (q = 0.265) whose V*, about 0.159, lies above the zero-cell dual's 0.140:
+#: the compensation witness does not pin it, so its verdict needs the LP.
+LP_PAIR = (
+    np.array([0.39546198954297845, 0.5930180594914135, 0.011519950965607977]),
+    np.array([0.0010397580548109561, 0.25215560168911316, 0.7468046402560758]),
+)
+
+
+def zero_cell_dual(targets):
+    """PBR's zero-cell dual: -1 on target cells at or below EPS_ZERO, +1 elsewhere."""
+    return np.where(np.ravel(targets) <= EPS_ZERO, -1.0, 1.0)
+
+
 class TestLpCalls:
-    """The LP runs only when preparations that expect different rows reach a common pair."""
+    """The LP runs only when preparations that expect different rows reach a common pair,
+    and the zero-cell dual and the compensation witness do not already pin V*."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_disjoint_pbr_instances_solve_no_lp(self, n):
@@ -413,10 +427,35 @@ class TestLpCalls:
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("q, feasible", [(1e-4, True), (1e-3, False), (0.3, False), (1.0, False)])
     def test_overlapping_pbr_instances_solve_one_lp(self, n, q, feasible):
+        """At most one: inside the band (2 q**2 <= EPS_LP) one LP decides, outside it none runs."""
         preparations, targets = pbr_instance(*overlap_pair(OnticSpace(n), q))
         with counted_linprog() as calls:
             verdict = feasibility(preparations, targets)
-        assert (len(calls), verdict.feasible) == (1, feasible)
+        assert (len(calls), verdict.feasible) == (int(feasible), feasible)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("q", [1e-3, 0.3, 1.0])
+    def test_overlap_pairs_outside_the_band_are_pinned_without_an_lp(self, n, q):
+        """The zero-cell dual proves V* >= 2 q**2 and the compensation witness misses by no more,
+        so the verdict carries the dual and states the same total twice."""
+        preparations, targets = pbr_instance(*overlap_pair(OnticSpace(n), q))
+        with counted_linprog() as calls:
+            verdict = feasibility(preparations, targets)
+        assert (len(calls), verdict.feasible) == (0, False)
+        np.testing.assert_array_equal(verdict.certificate, zero_cell_dual(targets))
+        exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
+        assert float(exact) == pytest.approx(2 * q**2)
+        totals = re.search(r"minimal total violation (\S+), certified at least (\S+)\)", verdict.violated_constraint)
+        assert totals[1] == totals[2] == f"{2 * q**2:.3e}"
+
+    def test_a_pair_the_zero_cell_dual_bounds_loosely_solves_one_lp(self):
+        preparations, targets = scenario_instance(*LP_PAIR, pbr=True)
+        with counted_linprog() as calls:
+            verdict = feasibility(preparations, targets)
+        assert (len(calls), verdict.feasible) == (1, False)
+        zero_cell = oracles.certified_violation_bound(preparations, targets, zero_cell_dual(targets))
+        assert zero_cell > EPS_LP and verdict.violation_bound >= zero_cell
+        assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
 
 
 @pytest.mark.parametrize(
@@ -460,18 +499,18 @@ def test_a_failed_solve_the_zero_cell_dual_cannot_decide_raises():
 
 
 def test_an_lp_certificate_that_falls_short_leaves_the_verdict_to_the_zero_cell_dual():
-    """With its duals zeroed the LP proves nothing, and the zero-cell dual proves 2 q**2 = 0.18."""
+    """With its duals zeroed the LP proves nothing, and the zero-cell dual proves 0.140 on ``LP_PAIR``."""
 
     def zero_duals(res):
         res.eqlin.marginals[:] = 0.0
 
-    preparations, targets = pbr_instance(*overlap_pair(OnticSpace(4), 0.3))
+    preparations, targets = scenario_instance(*LP_PAIR, pbr=True)
     with counted_linprog(zero_duals) as calls:
         verdict = feasibility(preparations, targets)
     assert (len(calls), verdict.feasible) == (1, False)
-    np.testing.assert_array_equal(verdict.certificate, np.where(np.ravel(targets) <= EPS_ZERO, -1.0, 1.0))
+    np.testing.assert_array_equal(verdict.certificate, zero_cell_dual(targets))
     exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
-    assert exact > EPS_LP and float(exact) == pytest.approx(2 * 0.3**2)
+    assert exact > EPS_LP and float(exact) == pytest.approx(0.14014839144808652)
     assert "(zero-cell dual; the LP witness misses by " in verdict.violated_constraint
 
 
@@ -589,12 +628,17 @@ def test_every_instance_gets_a_checked_verdict(instance):
 @settings(deadline=None, max_examples=100)
 @given(instances())
 def test_a_verdict_without_an_lp_is_a_witness_checked_exactly(instance):
+    """Or, when infeasible, the zero-cell dual, whose bound is re-derived exactly."""
     preparations, targets = instance
     with counted_linprog() as calls:
         verdict = feasibility(preparations, targets)
-    if not calls:
-        assert verdict.feasible
+    if calls:
+        return
+    if verdict.feasible:
         assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
+    else:
+        np.testing.assert_array_equal(verdict.certificate, zero_cell_dual(targets))
+        assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
 
 
 @settings(deadline=None, max_examples=60)
@@ -844,6 +888,19 @@ REJECTIONS = [
         "zero threshold at 0",
         lambda: ProbabilityTable(("a",), ("x",), [[1.0]], zero_threshold=0.0),
         "zero_threshold must be a real number in (0, inf), got 0.0",
+    ),
+    *(
+        (f"{site} not numbers", reject, f"{name} must be a rectangular array of numbers (")
+        for site, reject, name in [
+            ("table", lambda: ProbabilityTable(("a",), ("x",), [["a"]]), "probabilities"),
+            ("mass", lambda: EpistemicDistribution(OnticSpace(2), ["a", "b"]), "mass"),
+            ("constant response", lambda: constant_response(2, ["a"]), "probs"),
+            ("feasibility joint", lambda: feasibility([[["a", "b"], [1, 2]]], [[1.0, 0.0]]), "joint"),
+            ("state", lambda: born_distribution(["a", 1], xi_basis()), "amplitude vector"),
+            ("basis", lambda: MeasurementBasis([["a"]]), "basis outcomes"),
+            ("ragged response", lambda: ResponseFunction([[[1.0]], [[1.0, 0.0]]]), "response table"),
+            ("ragged feasibility joint", lambda: feasibility([[[1.0], [0.5, 0.5]]], [[1.0]]), "joint"),
+        ]
     ),
 ]
 

@@ -310,8 +310,14 @@ class TestProbabilityTable:
              "verdicts must be a list, got 'ab'"),
             ('{"scenario": "pbr", "tables": [], "verdicts": [], "metadata": {}}', "document has no 'extras'"),
             ("[]", "document has no 'scenario'"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [5], "metadata": {}, "extras": {}}',
+             "document has no 'status'"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{}], "metadata": {}, "extras": {}}',
+             "document has no 'status'"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "maybe"}], "metadata": {}, "extras": {}}',
+             "status must be 'feasible' or 'infeasible', got 'maybe'"),
         ],
-        ids=["str-verdicts", "no-extras", "not-an-object"],
+        ids=["str-verdicts", "no-extras", "not-an-object", "int-verdict", "verdict-without-status", "unknown-status"],
     )
     def test_documents_are_refused_not_coerced(self, text, message):
         with pytest.raises(DomainError, match=re.escape(message)):
