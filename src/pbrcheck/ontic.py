@@ -19,14 +19,16 @@ that holds decides: a direct witness, exact while no pair is reached by
 preparations that expect different statistics, so that only overlap can make
 it fail; PBR's zero-cell dual, when the compensation witness misses by no more
 than it proves, so that no LP could add anything; the witness of one elastic
-LP; that LP's dual certificate; and the zero-cell dual again.  Witnesses are
-re-checked and certificates checked in exact arithmetic, over the original
-pairs.  The LP has one column per class of pairs whose joints are
-proportional across the preparations (equal likelihood ratios), so it sees
-the ontic space only through the likelihood ratios: states outside the
-overlap, whose ratios are 0 or infinite, add only a few classes however many
-they are.  :class:`PbrCheckError` means that no
-proof holds.
+LP; that LP's dual certificate; and the zero-cell dual again.  Over the
+original pairs, a witness's total miss and a certificate's bound are each
+compared with ``EPS_LP`` exactly: a float evaluation decides when it lies
+farther from ``EPS_LP`` than its proven rounding error, and the exact
+``Fraction`` only inside that error (:class:`_Estimate`).  The LP has one
+column per class of pairs whose joints are proportional across the
+preparations (equal likelihood ratios), so it sees the ontic space only
+through the likelihood ratios: states outside the overlap, whose ratios are 0
+or infinite, add only a few classes however many they are.
+:class:`PbrCheckError` means that no proof holds.
 :func:`pbr_contradiction` is the independent analytic shortcut for the
 four-preparation scenario with a zero-outcome pairing that covers every
 outcome.
@@ -34,13 +36,15 @@ outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, PbrCheckError
-from .quantum import EPS_PROB, EPS_ZERO, as_array, as_distributions, as_int, as_real
+from .quantum import EPS_PROB, EPS_ZERO, as_array, as_distributions, as_instance, as_int, as_real
 
 #: Tolerance on the total violation of the LP equality constraints (elastic
 #: solve, witness re-check and infeasibility certificate).
@@ -63,12 +67,11 @@ class OnticSpace:
 
 def _space_size(space) -> int:
     """``space.size``, refused unless ``space`` is an :class:`OnticSpace`."""
-    if not isinstance(space, OnticSpace):
-        raise DomainError(f"space must be an OnticSpace, got {space!r}")
-    return space.size
+    return as_instance(space, OnticSpace, "space").size
 
 
 def _require_same_space(a: "EpistemicDistribution", b: "EpistemicDistribution") -> OnticSpace:
+    a, b = (as_instance(mu, EpistemicDistribution, "distribution") for mu in (a, b))
     if a.space != b.space:
         raise DomainError(f"distributions live on different ontic spaces: {a.space} vs {b.space}")
     return a.space
@@ -146,9 +149,11 @@ def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, ze
     the pairing covers the four outcomes.
 
     The size of the contradiction is proved: the dual ``y = J - 2I`` (-1 on
-    the pairing cells, +1 elsewhere), fed to :func:`_certified_bound`, shows
-    that every response function misses the statistics by at least ``2 q**2``
-    in total.  So this predicate and :func:`feasibility` can disagree only
+    the pairing cells, +1 elsewhere) shows that every response function
+    misses the statistics by at least ``2 q**2`` in total.
+    :func:`_certified_bound` evaluates that bound in floats with a proven
+    error, and in exact rationals only when the float lies within that error
+    of ``EPS_LP``.  So this predicate and :func:`feasibility` can disagree only
     while ``2 q**2 <= EPS_LP`` (q up to about 2.2e-4), where the LP may find
     a response function within tolerance although q > 0.  The predicate keeps
     its "q > 0" answer until the benchmark's check of the ``feasibility``
@@ -190,6 +195,8 @@ class ResponseFunction:
 def constant_response(size: int, probs) -> ResponseFunction:
     """Response that ignores the physical pair and always answers with ``probs``."""
     p = as_array(probs, "probs")
+    if p.ndim != 1:
+        raise DomainError(f"probs must be 1-D, got shape {p.shape}")
     size = as_int(size, "size", 1)
     return ResponseFunction(np.broadcast_to(p, (size, size, p.size)).copy())
 
@@ -208,8 +215,12 @@ def state_assignment_response(assignment, outcome_rows) -> ResponseFunction:
     n_states = int(round(np.sqrt(rows.shape[0])))
     if n_states * n_states != rows.shape[0]:
         raise DomainError(f"outcome_rows needs one row per ordered state pair, got {rows.shape[0]}")
+    try:
+        entries = [as_int(s, "assignment entry", 0, n_states) for s in assignment]
+    except TypeError:  # not iterable
+        raise DomainError(f"assignment must be a sequence of state indices, got {assignment!r}") from None
     # dtype=int types an empty assignment, whose zero-size table ResponseFunction refuses.
-    assign = np.array([as_int(s, "assignment entry", 0, n_states) for s in assignment], dtype=int)
+    assign = np.array(entries, dtype=int)
     n = assign.size
     table = rows[assign[:, None] * n_states + assign[None, :]]
     return ResponseFunction(table.reshape(n, n, rows.shape[1]))
@@ -224,8 +235,8 @@ class FeasibilityVerdict:
     violated_constraint: str | None = None
     max_residual: float | None = None
     #: Infeasible verdicts: duals in [-1, 1], one per (preparation, outcome),
-    #: and the lower bound they prove on every response function's total
-    #: violation of the statistics.
+    #: and a float at most the bound they prove on every response function's
+    #: total violation of the statistics.
     certificate: np.ndarray | None = field(default=None, repr=False)
     violation_bound: float | None = None
 
@@ -236,8 +247,11 @@ class FeasibilityVerdict:
 
 def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     """Stacked joints ``(p, n, n)`` and target rows ``(p, k)`` of a checked instance."""
-    preps = [as_array(j, "joint") for j in preparations]
-    targs = [as_array(t, "target row") for t in targets]
+    try:
+        preps, targs = [as_array(j, "joint") for j in preparations], [as_array(t, "target row") for t in targets]
+    except TypeError:  # not iterable
+        got = f"{preparations!r}, {targets!r}"
+        raise DomainError(f"preparations and targets must be sequences of arrays, got {got}") from None
     if not preps or len(preps) != len(targs):
         raise DomainError(f"{len(preps)} preparations for {len(targs)} target rows")
     n = preps[0].shape[0] if preps[0].ndim == 2 else -1
@@ -302,8 +316,44 @@ def _dyadic(values) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(np.shape(values)), shift
 
 
-def _certified_bound(flats, targs, y) -> Fraction:
-    """Exact lower bound, proved by ``y``, on the total violation of every response function.
+#: Unit roundoff of float64.
+_U = 2.0**-53
+
+
+class _Estimate(NamedTuple):
+    """A float ``value`` of an exact quantity, off it by at most ``error``; ``exact()`` is the quantity as a Fraction.
+
+    Every ``error`` here rests on one lemma (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., 2002, eq. (3.5) and Lemma 3.3): a sum
+    of ``m`` terms, each a float or a product of two floats, evaluated in
+    float64 in any order (left to right, pairwise, blocked as BLAS does, with
+    or without fused multiply-adds) is off its exact value by at most
+    ``gamma_m = m u / (1 - m u) <= 2 m u`` times the sum of the terms'
+    absolute values, where ``u = 2**-53`` and ``m u <= 1/2``.  Errors compose:
+    ``gamma_a + gamma_b + gamma_a gamma_b <= gamma_(a+b)``, and a maximum of
+    computed values is off the exact maximum by at most their largest error.
+    Products that underflow add at most ``2**-1075`` each, far less than the
+    one ``u`` every ``error`` adds for them.
+    """
+
+    value: float
+    error: float
+    exact: Callable[[], Fraction]
+
+    def exceeds_eps_lp(self) -> bool:
+        """Whether the exact quantity exceeds ``EPS_LP``, computing ``exact()`` only within ``error`` of it."""
+        # Rounding is monotone and ``error`` is a float, so a computed distance above it is one in exact arithmetic.
+        if abs(self.value - EPS_LP) > self.error:
+            return self.value > EPS_LP
+        return self.exact() > EPS_LP
+
+    def floor(self) -> float:
+        """``value - error`` rounded down: a float at most the exact quantity."""
+        return math.nextafter(self.value - self.error, -math.inf)
+
+
+def _certified_bound(flats, targs, y) -> _Estimate:
+    """Lower bound, proved by ``y``, on the total violation of every response function.
 
     ``flats[p]`` holds joint ``p`` over the pairs (pairs it omits carry no
     mass) and ``y`` one dual in ``[-1, 1]`` per (preparation, outcome).  With
@@ -312,16 +362,30 @@ def _certified_bound(flats, targs, y) -> Fraction:
     at most ``sum_pair max_k g[pair, k]`` because each response row is a
     distribution; and ``y . (target - predicted)`` is at most the total
     violation ``V``.  Hence ``V >= y . target - sum_pair max_k g[pair, k]``.
-    Every float is read exactly, so the bound does not rest on the solver's
-    arithmetic.
+
+    The float evaluation takes ``m = pairs + p + p k + 1`` terms along any
+    path (``p`` products per gain, one maximum per pair, ``p k`` products in
+    ``y . target``, one subtraction) whose absolute values sum to at most
+    ``sum(flats) + sum(targs) < 4 p``, because ``|y| <= 1`` and every
+    validated row is nonnegative and sums to less than 2; so it is off the
+    bound by at most ``8 m p u`` (see :class:`_Estimate`).  The exact bound
+    reads every float as a dyadic rational, so neither verdict rests on the
+    solver's arithmetic.
     """
-    joints, j_shift = _dyadic(flats)
-    duals, y_shift = _dyadic(y.reshape(len(flats), -1))
-    target, t_shift = _dyadic(targs)
-    gain = joints.T.dot(duals)
-    return Fraction(int((target * duals).sum()), 1 << (t_shift + y_shift)) - Fraction(
-        int(gain.max(axis=1).sum()), 1 << (j_shift + y_shift)
-    )
+    duals = y.reshape(len(flats), -1)
+    value = float((targs * duals).sum() - (flats.T @ duals).max(axis=1).sum())
+    terms = flats.shape[1] + len(flats) + duals.size + 1
+
+    def exact() -> Fraction:
+        joints, j_shift = _dyadic(flats)
+        ints, y_shift = _dyadic(duals)
+        target, t_shift = _dyadic(targs)
+        gain = joints.T.dot(ints)
+        return Fraction(int((target * ints).sum()), 1 << (t_shift + y_shift)) - Fraction(
+            int(gain.max(axis=1).sum()), 1 << (j_shift + y_shift)
+        )
+
+    return _Estimate(value, (8 * terms * len(flats) + 1) * _U, exact)
 
 
 def _witness(joints, targs, reached, rows) -> tuple[FeasibilityVerdict | None, np.ndarray]:
@@ -330,32 +394,47 @@ def _witness(joints, targs, reached, rows) -> tuple[FeasibilityVerdict | None, n
     Rows are renormalized and unreached pairs answer uniformly.  The verdict
     is None when the witness, substituted back over the original joints,
     misses the statistics by more than ``EPS_LP`` in total; otherwise its
-    ``max_residual`` is the largest residual of every equality.
+    ``max_residual`` is the largest residual of every equality.  The total
+    miss is decided exactly: its float sums ``m = n**2 + p k + 1`` terms
+    (``n**2`` products and a target per miss, then ``p k`` misses) whose
+    absolute values sum to less than ``6 p``, since every validated or
+    renormalized row is nonnegative and sums to less than 2, so it is off by
+    at most ``12 m p u`` (see :class:`_Estimate`).
     """
     n, k = joints.shape[1], targs.shape[1]
     table = np.full((n * n, k), 1.0 / k)
     table[reached] = rows
     table = (table / table.sum(axis=1, keepdims=True)).reshape(n, n, k)
     misses = np.abs(np.einsum("pij,ijk->pk", joints, table) - targs)
-    if misses.sum() > EPS_LP:
+
+    def exact() -> Fraction:
+        j, j_shift = _dyadic(joints.reshape(len(joints), -1))
+        x, x_shift = _dyadic(table.reshape(-1, k))
+        t, t_shift = _dyadic(targs)
+        shift = max(j_shift + x_shift, t_shift)
+        diff = j.dot(x) * (1 << (shift - j_shift - x_shift)) - t * (1 << (shift - t_shift))
+        return Fraction(int(np.abs(diff).sum()), 1 << shift)
+
+    terms = n * n + misses.size + 1
+    if _Estimate(float(misses.sum()), (12 * terms * len(joints) + 1) * _U, exact).exceeds_eps_lp():
         return None, misses
     worst = max(float(np.max(np.abs(table.sum(axis=2) - 1.0))), float(misses.max()))
     return FeasibilityVerdict(True, witness=ResponseFunction(table), max_residual=worst), misses
 
 
-def _infeasible(y, bound: Fraction, missed: str) -> FeasibilityVerdict:
-    """Infeasible verdict whose certificate ``y`` proves ``bound``; ``missed`` says what cannot be met."""
+def _infeasible(y, bound: float, missed: str) -> FeasibilityVerdict:
+    """Infeasible verdict whose certificate ``y`` proves at least ``bound``; ``missed`` says what cannot be met."""
     return FeasibilityVerdict(
-        False, violated_constraint=f"cannot satisfy: {missed}", certificate=y, violation_bound=float(bound)
+        False, violated_constraint=f"cannot satisfy: {missed}", certificate=y, violation_bound=bound
     )
 
 
-def _missed_most(targs, misses, total, bound: Fraction) -> str:
+def _missed_most(targs, misses, total, bound: float) -> str:
     """What an infeasible verdict cannot meet: the row ``misses`` misses most, the ``total`` and the proved ``bound``."""
     prep, out = np.unravel_index(np.argmax(misses), misses.shape)
     return (
         f"preparation {prep}: outcome {out + 1} probability must equal {targs[prep, out]:.12g} "
-        f"(off by {misses[prep, out]:.3e}; minimal total violation {total:.3e}, certified at least {float(bound):.3e})"
+        f"(off by {misses[prep, out]:.3e}; minimal total violation {total:.3e}, certified at least {bound:.3e})"
     )
 
 
@@ -395,12 +474,17 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     1. The direct witness: each reached pair answers with the target row of
        the first preparation that reaches it, which is exact when all
        preparations reaching a pair expect the same row (disjoint supports,
-       one preparation).  A witness holds when it passes the check of
-       :func:`_witness`; ``max_residual`` is its largest residual over every
-       constraint.
+       one preparation).  A witness holds when its total miss over the
+       original pairs is at most ``EPS_LP``: the float sum decides unless it
+       lies within its proven error of ``EPS_LP``, and then the exact miss
+       does (:func:`_witness`).  ``max_residual`` is its largest residual
+       over every constraint.
     2. PBR's zero-cell dual, -1 on target cells at or below ``EPS_ZERO`` and
        +1 elsewhere (see :func:`pbr_contradiction`), proves a bound on every
-       response function's total violation.  When it exceeds ``EPS_LP`` and
+       response function's total violation.  Whether that bound exceeds
+       ``EPS_LP`` is decided as for a witness: by its float value, off it by
+       at most a stated error, and by the exact ``Fraction`` when the float
+       lies within that error (:func:`_certified_bound`).  When it does and
        the compensation witness (:func:`_compensation_misses`) misses by at
        most the bound plus ``EPS_LP``, the two pin the minimal violation, and
        the verdict is infeasible with no LP solved.  That witness proves
@@ -410,10 +494,12 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
        It has one column per class of reached pairs with proportional joints
        (see :func:`_pair_classes`), so ``x`` holds one response row per class;
        each class's row, given to every pair of the class, is the witness.
-    4. The LP certificate: the statistics duals prove, in exact arithmetic
-       over the original pairs, that every response function misses them by
-       more than ``EPS_LP`` in total (``violation_bound``);
-       ``violated_constraint`` names the row the optimal ``x`` misses most.
+    4. The LP certificate: the statistics duals prove, over the original
+       pairs, that every response function misses them by more than
+       ``EPS_LP`` in total, decided as in step 2.  ``violation_bound`` is the
+       float value less its error, rounded down, so it never exceeds the
+       exact bound; ``violated_constraint`` names the row the optimal ``x``
+       misses most.
     5. The zero-cell dual's bound of step 2, computed once, decides when it
        exceeds ``EPS_LP`` and the solver failed or its certificate fell
        short; ``violated_constraint`` then states only the proved bound,
@@ -440,11 +526,12 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     if verdict is not None:
         return verdict
     zero_y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
-    zero_bound = _certified_bound(flats, targs, zero_y)
-    if zero_bound > EPS_LP:
-        misses = _compensation_misses(flats, joints, targs, reached)
-        if misses.sum() <= zero_bound + EPS_LP:
-            return _infeasible(zero_y, zero_bound, _missed_most(targs, misses, misses.sum(), zero_bound))
+    zero = _certified_bound(flats, targs, zero_y)
+    zero_proved = zero.exceeds_eps_lp()
+    if zero_proved:
+        misses, lower = _compensation_misses(flats, joints, targs, reached), zero.floor()
+        if misses.sum() <= lower + EPS_LP:
+            return _infeasible(zero_y, lower, _missed_most(targs, misses, misses.sum(), lower))
     label, columns = _pair_classes(flats)
     classes = columns.shape[1]
     a_eq, b_eq = _assemble_equalities(columns, targs)
@@ -463,13 +550,17 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
             return verdict
         y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
         bound = _certified_bound(flats, targs, y)
-        if bound > EPS_LP:
-            return _infeasible(y, bound, _missed_most(targs, misses, res.fun * EPS_LP, bound))
-        failure = f"the LP witness misses by {misses.sum():.3e} in total, its certificate proves only {float(bound):.3e}"
-    if zero_bound > EPS_LP:
-        missed = f"every response function misses the statistics by at least {float(zero_bound):.3e} in total"
-        return _infeasible(zero_y, zero_bound, f"{missed} (zero-cell dual; {failure})")
-    raise PbrCheckError(f"neither verdict is proved: {failure}; the zero-cell dual proves only {float(zero_bound):.3e}")
+        if bound.exceeds_eps_lp():
+            lower = bound.floor()
+            return _infeasible(y, lower, _missed_most(targs, misses, res.fun * EPS_LP, lower))
+        proved = float(bound.exact())
+        failure = f"the LP witness misses by {misses.sum():.3e} in total, its certificate proves only {proved:.3e}"
+    if zero_proved:
+        lower = zero.floor()
+        missed = f"every response function misses the statistics by at least {lower:.3e} in total"
+        return _infeasible(zero_y, lower, f"{missed} (zero-cell dual; {failure})")
+    proved = float(zero.exact())
+    raise PbrCheckError(f"neither verdict is proved: {failure}; the zero-cell dual proves only {proved:.3e}")
 
 
 def _block_seed(root: np.random.SeedSequence, block: int) -> np.random.SeedSequence:
@@ -521,7 +612,7 @@ def monte_carlo(
     ``seed`` is a non-negative int or a ``numpy.random.SeedSequence``.
     """
     space = _require_same_space(mu_device1, mu_device2)
-    if response.size != space.size:
+    if as_instance(response, ResponseFunction, "response").size != space.size:
         raise DomainError(f"response over {response.size} states, space has {space.size}")
     # The int64 outcome counts overflow at 2**63.  Counts below it are
     # accepted, and a huge one still loops over samples / _MC_BLOCK blocks.

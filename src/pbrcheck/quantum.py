@@ -10,8 +10,9 @@ Every scalar a caller passes to pbrcheck is read by one rule: :func:`as_int`
 takes any ``numbers.Integral`` in ``[low, high)``, :func:`as_real` any
 ``numbers.Real`` but NaN in a closed or open interval.  Neither takes ``bool``,
 and each refusal is a :class:`DomainError` that names the parameter.  Every
-array is read by :func:`as_array`, which refuses by name what numpy cannot
-convert: strings that are not numbers, ragged nesting, dicts.
+array is read by :func:`as_array`, which refuses by name, as entries, what
+those refuse as scalars (strings, even numeric ones, and ``bool``), and what
+is no rectangular array of numbers (``None``, dicts, ragged nesting).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def as_distributions(values, what: str, sum_tol: float = EPS_PROB) -> np.ndarray
     if (p < -EPS_ZERO).any():
         raise DomainError(f"each {what} must be nonnegative, got min {p.min()!r}")
     p = np.maximum(p, 0.0)  # a new array, so the caller's is never written
-    off = np.abs(p.sum(axis=-1) - 1.0)
+    with np.errstate(over="ignore"):  # entries near the float limit sum to inf, which is refused
+        off = np.abs(p.sum(axis=-1) - 1.0)
     if (off > sum_tol).any():
         raise DomainError(f"each {what} must be normalized to within {sum_tol!r}, but a sum is off 1 by {off.max()!r}")
     p.setflags(write=False)
@@ -51,11 +53,29 @@ def as_distributions(values, what: str, sum_tol: float = EPS_PROB) -> np.ndarray
 
 
 def as_array(values, what: str, dtype=np.float64) -> np.ndarray:
-    """``values`` as a ``dtype`` array, not copied when it is one already; what numpy cannot convert is refused."""
+    """``values`` as a ``dtype`` array, not copied when it is one already.
+
+    Only numbers that cast to ``dtype`` within their kind are read; ``bool``,
+    strings and objects are refused, and so is what numpy cannot shape into an
+    array (ragged nesting).
+    """
     try:
-        return np.asarray(values, dtype=dtype)
+        array = np.asarray(values)
+        if array.dtype != dtype:
+            if array.dtype.kind == "b" or not np.can_cast(array.dtype, dtype, "same_kind"):
+                raise TypeError(f"got {array.dtype} entries")
+            array = array.astype(dtype)
     except (TypeError, ValueError) as error:
         raise DomainError(f"{what} must be a rectangular array of numbers ({error})") from None
+    return array
+
+
+def as_instance(value, kind: type, what: str):
+    """``value``, refused unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{what} must be {article} {kind.__name__}, got {value!r}")
+    return value
 
 
 def as_int(value, what: str, low: int = 0, high: float = math.inf) -> int:
@@ -95,9 +115,13 @@ def tensor(a, b) -> np.ndarray:
     """Tensor product ``a (x) b`` of two amplitude vectors.
 
     The left factor is the first subsystem: the amplitude at index
-    ``i * dim(b) + j`` is ``a[i] * b[j]``.
+    ``i * dim(b) + j`` is ``a[i] * b[j]``.  A product beyond float64 is refused.
     """
-    return np.kron(as_state(a), as_state(b))
+    with np.errstate(over="ignore"):
+        product = np.kron(as_state(a), as_state(b))
+    if not np.all(np.isfinite(product)):
+        raise DomainError("the tensor product overflows")
+    return product
 
 
 def inner(a, b) -> complex:
@@ -118,7 +142,7 @@ def normalize(v) -> np.ndarray:
     """Return ``v`` scaled to unit norm, direction and phases unchanged."""
     v = as_state(v)
     norm_sq = float(np.vdot(v, v).real)
-    if norm_sq <= EPS_ZERO:
+    if not EPS_ZERO < norm_sq < math.inf:
         raise DomainError(f"cannot normalize a vector with squared norm {norm_sq:.3e}")
     return v / np.sqrt(norm_sq)
 
@@ -162,7 +186,8 @@ def is_orthonormal_basis(basis) -> bool:
     m = basis.outcomes if isinstance(basis, MeasurementBasis) else as_array(basis, "outcome kets", np.complex128)
     if m.ndim != 2 or m.shape[0] < 1:
         raise DomainError(f"expected a 2-D array of outcome kets, got shape {m.shape}")
-    gram = m.conj() @ m.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram matrix is not the identity
+        gram = m.conj() @ m.T
     return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= EPS_NORM)
 
 

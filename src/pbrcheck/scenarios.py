@@ -25,6 +25,7 @@ from .quantum import (
     MeasurementBasis,
     as_array,
     as_distributions,
+    as_instance,
     as_real,
     born_distribution,
     inner,
@@ -63,13 +64,13 @@ def ket(label: str) -> np.ndarray:
     """
     try:
         return _KETS[label].copy()
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise DomainError(f"unknown ket label {label!r}; expected one of {KET_LABELS}") from None
 
 
 def product_preparation(label: str) -> np.ndarray:
     """Two-device product state for a label like ``"0+"`` (device 1 then device 2)."""
-    if len(label) != 2 or any(ch not in ("0", "+") for ch in label):
+    if not isinstance(label, str) or label not in PREPARATIONS:
         raise DomainError(f"preparation label must be two characters from '0'/'+', got {label!r}")
     return tensor(ket(label[0]), ket(label[1]))
 
@@ -273,6 +274,7 @@ def theta_table(
     basis, the one measurement of both scenarios.
     """
     states, labels = [], []
+    as_instance(pair, ThetaPair, "pair")
     for i, a in ((0, pair.psi0), (1, pair.psi1)):
         for j, b in ((0, pair.psi0), (1, pair.psi1)):
             states.append(tensor(a, b))

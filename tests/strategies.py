@@ -36,3 +36,19 @@ def probability_rows(draw):
     row[big] *= (1.0 - row[np.isfinite(row) & ~big].sum()) / row[big].sum()
     row[np.argmax(big)] += draw(st.floats(-2 * EPS_PROB, 2 * EPS_PROB))
     return row
+
+
+#: What a JSON document can hold: None, bool, numbers, strings (numeric ones too), and mixed or ragged lists and
+#: dicts of them.  Integers stay small, so that a size read from them allocates a few kB at most.
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 9),
+        st.floats(),
+        st.sampled_from(["1", "0.5", "0", "+", "0+"]),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=16,
+)

@@ -1,6 +1,7 @@
 """Tests for the ontological-model layer."""
 
 import contextlib
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbrcheck
 from pbrcheck import (
     EPS_LP,
     EPS_PROB,
@@ -28,6 +30,7 @@ from pbrcheck import (
     inner,
     is_orthonormal_basis,
     joint,
+    ket,
     mixture,
     monte_carlo,
     normalize,
@@ -36,17 +39,22 @@ from pbrcheck import (
     pbr_contradiction,
     pbr_target_rows,
     point_mass,
+    product_preparation,
     state_assignment_response,
+    tensor,
     theta_pair,
+    theta_table,
     uniform,
     zero_outcome_table,
 )
-from pbrcheck.ontic import _MC_BLOCK, _block_counts, _validate_instance
+from pbrcheck import ontic
+from pbrcheck.ontic import _MC_BLOCK, _block_counts, _certified_bound, _validate_instance, _witness
 from pbrcheck.quantum import as_state
+from pbrcheck.report import ReportDocument
 from pbrcheck.scenarios import mz_scenario, pbr_scenario, xi_basis
 
 import oracles
-from strategies import distributions, probability_rows
+from strategies import JSON_VALUES, distributions, probability_rows
 
 
 def dist(*mass):
@@ -458,6 +466,54 @@ class TestLpCalls:
         assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
 
 
+@pytest.fixture
+def dyadic_calls(monkeypatch):
+    """The arrays passed to ``ontic._dyadic``, through which every exact comparison reads its floats."""
+    calls, dyadic = [], ontic._dyadic
+    monkeypatch.setattr(ontic, "_dyadic", lambda values: calls.append(values) or dyadic(values))
+    return calls
+
+
+#: One float below ``EPS_LP``, ``EPS_LP`` and one above.
+AROUND_EPS_LP = [math.nextafter(EPS_LP, 0.0), EPS_LP, math.nextafter(EPS_LP, 1.0)]
+
+
+class TestExactComparisons:
+    """A float within its proven error of ``EPS_LP`` leaves the verdict to the exact quantity, and only then."""
+
+    @pytest.mark.parametrize("bound", AROUND_EPS_LP, ids=["below", "at", "above"])
+    def test_a_certificate_bound_at_the_threshold_is_decided_exactly(self, bound, dyadic_calls):
+        """Two preparations share one pair; the duals (1, -1) and (-1, 1) gain nothing on it, so they prove
+        exactly ``t0[0] - t0[1] - t1[0] + t1[1]``, here ``bound``."""
+        joints, targets, duals = [[[1.0]], [[1.0]]], [[bound, 0.0], [0.0, 0.0]], np.array([1.0, -1.0, -1.0, 1.0])
+        estimate = _certified_bound(np.ravel(joints).reshape(2, 1), np.array(targets), duals)
+        exact = oracles.certified_violation_bound(joints, targets, duals)
+        assert estimate.value == bound and exact == Fraction(bound)
+        assert estimate.exceeds_eps_lp() == (exact > EPS_LP) and dyadic_calls
+        assert estimate.floor() <= exact
+
+    @pytest.mark.parametrize("miss", AROUND_EPS_LP, ids=["below", "at", "above"])
+    def test_a_witness_miss_at_the_threshold_is_decided_exactly(self, miss, dyadic_calls):
+        """One preparation on one pair, answered with (1, 0) where the target row is (1, ``miss``)."""
+        joints, targets = np.ones((1, 1, 1)), np.array([[1.0, miss]])
+        verdict, misses = _witness(joints, targets, np.array([0]), np.array([[1.0, 0.0]]))
+        exact = oracles.witness_total_miss(joints, targets, [[[1.0, 0.0]]])
+        assert misses.sum() == miss and exact == Fraction(miss)
+        assert (verdict is None) == (exact > EPS_LP) and dyadic_calls
+
+    @pytest.mark.parametrize("pbr", [True, False], ids=["pbr", "mz"])
+    @pytest.mark.parametrize("q", [0.0, 1e-3, 0.3, 1.0])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_overlap_pairs_need_no_exact_arithmetic(self, n, q, pbr, dyadic_calls):
+        m0, m1 = (mu.mass for mu in overlap_pair(OnticSpace(n), q))
+        feasibility(*scenario_instance(m0, m1, pbr))
+        assert dyadic_calls == []
+
+    def test_the_lp_pair_needs_no_exact_arithmetic(self, dyadic_calls):
+        assert not feasibility(*scenario_instance(*LP_PAIR, pbr=True)).feasible
+        assert dyadic_calls == []
+
+
 @pytest.mark.parametrize(
     "m0, m1, bound",
     [
@@ -622,7 +678,8 @@ def test_every_instance_gets_a_checked_verdict(instance):
     if verdict.feasible:
         assert oracles.witness_total_miss(preparations, targets, verdict.witness.table) <= EPS_LP
     else:
-        assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
+        exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
+        assert exact > EPS_LP and verdict.violation_bound <= float(exact)
 
 
 @settings(deadline=None, max_examples=100)
@@ -900,8 +957,35 @@ REJECTIONS = [
             ("basis", lambda: MeasurementBasis([["a"]]), "basis outcomes"),
             ("ragged response", lambda: ResponseFunction([[[1.0]], [[1.0, 0.0]]]), "response table"),
             ("ragged feasibility joint", lambda: feasibility([[[1.0], [0.5, 0.5]]], [[1.0]]), "joint"),
+            ("numeric-string mass", lambda: EpistemicDistribution(OnticSpace(2), ["0.5", "0.5"]), "mass"),
+            ("bool mass", lambda: EpistemicDistribution(OnticSpace(2), [True, False]), "mass"),
+            ("numeric-string table", lambda: ProbabilityTable(("a",), ("x", "y"), [["1", 0]]), "probabilities"),
+            ("bool feasibility joint", lambda: feasibility([[[True]]], [["1"]]), "joint"),
         ]
     ),
+    ("joint of None", lambda: joint(None, None), "distribution must be an EpistemicDistribution, got None"),
+    (
+        "response not a ResponseFunction",
+        lambda: monte_carlo(*TWO_UNIFORM, [[[1.0]]], 10, 0),
+        "response must be a ResponseFunction, got [[[1.0]]]",
+    ),
+    ("theta table of a float", lambda: theta_table(0.5), "pair must be a ThetaPair, got 0.5"),
+    ("ket label a list", lambda: ket(["0"]), "unknown ket label ['0']"),
+    ("preparation label None", lambda: product_preparation(None), "preparation label must be two characters"),
+    (
+        "feasibility of None",
+        lambda: feasibility(None, None),
+        "preparations and targets must be sequences of arrays, got None, None",
+    ),
+    (
+        "assignment None",
+        lambda: state_assignment_response(None, np.full((4, 2), 0.5)),
+        "assignment must be a sequence of state indices, got None",
+    ),
+    ("2-D constant probs", lambda: constant_response(2, [[0.5, 0.5]]), "probs must be 1-D, got shape (1, 2)"),
+    ("mass near the float limit", lambda: EpistemicDistribution(OnticSpace(2), [1e308, 1e308]), "a sum is off 1 by"),
+    ("tensor overflow", lambda: tensor([1e308, 1.0], [1e308, 1.0]), "the tensor product overflows"),
+    ("norm overflow", lambda: normalize([1e308, 1e308]), "cannot normalize a vector with squared norm inf"),
 ]
 
 
@@ -962,3 +1046,31 @@ def test_scalars_of_the_wrong_kind_are_refused_by_name(call, name, value):
 @pytest.mark.parametrize(("call", "value"), [a[1:] for a in ACCEPTED], ids=[f"{a[0]}={a[2]!r}" for a in ACCEPTED])
 def test_scalars_of_any_number_type_in_range_are_accepted(call, value):
     call(value)
+
+
+# --- every public call refuses what it cannot read ---
+
+#: Every public constructor and function, and the two that read documents back.
+PUBLIC = [
+    *(
+        (name, obj)
+        for name, obj in sorted(vars(pbrcheck).items())
+        if callable(obj) and not name.startswith("_") and not (isinstance(obj, type) and issubclass(obj, Exception))
+    ),
+    ("ProbabilityTable.from_dict", ProbabilityTable.from_dict),
+    ("ReportDocument.from_payload", ReportDocument.from_payload),
+]
+
+
+@pytest.mark.parametrize("call", [p[1] for p in PUBLIC], ids=[p[0] for p in PUBLIC])
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_json_like_values_are_read_or_refused(call, data):
+    """Fed JSON-like values for any number of the parameters it takes, a call returns or raises DomainError."""
+    params = inspect.signature(call).parameters.values()
+    required = sum(p.default is p.empty for p in params)
+    args = data.draw(st.lists(JSON_VALUES, min_size=required, max_size=len(params)), label="args")
+    try:
+        call(*args)
+    except DomainError:
+        pass

@@ -140,6 +140,10 @@ class TestBases:
     def test_xi_basis_is_orthonormal(self):
         assert is_orthonormal_basis(xi_basis())
 
+    def test_a_gram_matrix_that_overflows_is_not_the_identity(self):
+        assert not is_orthonormal_basis([[1e308, 0.0], [0.0, 1.0]])
+        assert not is_orthonormal_basis([[1e308 + 1e308j, 1e308], [0.0, 1.0]])
+
     def test_zero_plus_is_not_a_basis(self):
         """{|0>, |+>} fails: <0|+> = 1/sqrt(2) != 0."""
         assert not is_orthonormal_basis(np.array([ket("0"), ket("+")]))

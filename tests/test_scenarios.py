@@ -316,8 +316,20 @@ class TestProbabilityTable:
              "document has no 'status'"),
             ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "maybe"}], "metadata": {}, "extras": {}}',
              "status must be 'feasible' or 'infeasible', got 'maybe'"),
+            ('{"scenario": "pbr", "tables": [{"title": "", "row_labels": ["a"], "column_labels": ["x", "y"], '
+             '"probabilities": [["0.5", "0.5"]], "zero_threshold": 1e-09, "zero_flags": [[false, false]], '
+             '"row_sums": [1.0]}], "verdicts": [], "metadata": {}, "extras": {}}',
+             "probabilities must be a rectangular array of numbers (got <U3 entries)"),
         ],
-        ids=["str-verdicts", "no-extras", "not-an-object", "int-verdict", "verdict-without-status", "unknown-status"],
+        ids=[
+            "str-verdicts",
+            "no-extras",
+            "not-an-object",
+            "int-verdict",
+            "verdict-without-status",
+            "unknown-status",
+            "numeric-string-probabilities",
+        ],
     )
     def test_documents_are_refused_not_coerced(self, text, message):
         with pytest.raises(DomainError, match=re.escape(message)):
