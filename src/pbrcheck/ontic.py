@@ -19,16 +19,11 @@ that holds decides: a direct witness, exact while no pair is reached by
 preparations that expect different statistics, so that only overlap can make
 it fail; PBR's zero-cell dual, when the compensation witness misses by no more
 than it proves, so that no LP could add anything; the witness of one elastic
-LP; that LP's dual certificate; and the zero-cell dual again.  Over the
-original pairs, a witness's total miss and a certificate's bound are each
-compared with ``EPS_LP`` exactly: a float evaluation decides when it lies
-farther from ``EPS_LP`` than its proven rounding error, and the exact
-``Fraction`` only inside that error (:class:`_Estimate`).  The LP has one
-column per class of pairs whose joints are proportional across the
-preparations (equal likelihood ratios), so it sees the ontic space only
-through the likelihood ratios: states outside the overlap, whose ratios are 0
-or infinite, add only a few classes however many they are.
-:class:`PbrCheckError` means that no proof holds.
+LP; that LP's dual certificate; and the zero-cell dual again.  A witness's
+total miss and a certificate's bound are each compared with ``EPS_LP``
+exactly: a float evaluation decides when it lies farther from ``EPS_LP`` than
+its proven rounding error, and the exact ``Fraction`` only inside that error
+(:class:`_Estimate`).  :class:`PbrCheckError` means that no proof holds.
 :func:`pbr_contradiction` is the independent analytic shortcut for the
 four-preparation scenario with a zero-outcome pairing that covers every
 outcome.
@@ -259,7 +254,7 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     if wrong is not None:
         raise DomainError(f"joint distributions must all be ({n}, {n}), got {wrong}")
     # Two masses each off 1 by EPS_PROB give a joint off by their product, plus n * n roundings.
-    joint_tol = 2 * EPS_PROB + EPS_PROB**2 + n * n * np.finfo(np.float64).eps
+    joint_tol = 2 * EPS_PROB + EPS_PROB**2 + n * n * math.ulp(1.0)
     joints = as_distributions([j.ravel() for j in preps], "joint", joint_tol)
     k = targs[0].size
     if any(t.ndim != 1 or t.size != k for t in targs):
@@ -267,45 +262,23 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     return joints.reshape(-1, n, n), as_distributions(targs, "target row")
 
 
-def _pair_classes(flats) -> tuple[np.ndarray, np.ndarray]:
-    """Class of each pair column of ``flats`` and the summed joints of each class.
+def _assemble_equalities(flats, targs):
+    """Elastic equality system ``A z = b`` over ``z = (x, s+, s-) >= 0``, one column of ``x`` per pair.
 
-    Two pairs whose joints are proportional across the preparations have
-    equal likelihood ratios, and the LP cannot tell them apart: with masses
-    ``w_a`` and ``w_b``, the shared response ``(w_a xi_a + w_b xi_b) / (w_a +
-    w_b)`` on their summed column predicts what ``xi_a`` and ``xi_b`` predict
-    together.  Pairs whose profiles ``column / column.sum()`` are equal as
-    floats form a class.  Classes are numbered in order of their first pair,
-    so when no two pairs merge the columns are ``flats`` itself, in order.
+    ``flats[p, c]`` is the joint of reached pair ``c`` under preparation
+    ``p``, and ``x[outcome, c]`` that pair's response.  The first ``pairs``
+    rows are the pointwise normalizations ``sum_k x[k, c] = 1``; then row
+    ``p * k + out`` is the statistics equality ``sum_c flats[p, c] * x[out, c]
+    + s+ - s- = target_p[out]``, with its own slack pair.
     """
-    profiles = np.ascontiguousarray((flats / flats.sum(axis=0)).T)
-    classes: dict[bytes, int] = {}
-    keys = profiles.view(f"V{profiles[0].nbytes}").ravel().tolist()  # one bytes key per pair
-    label = np.array([classes.setdefault(key, len(classes)) for key in keys])
-    if len(classes) == len(keys):
-        return label, flats
-    return label, flats @ (label[:, None] == np.arange(len(classes)))
-
-
-def _assemble_equalities(columns, targs):
-    """Elastic equality system ``A z = b`` over ``z = (x, s+, s-) >= 0``, one column of ``x`` per class.
-
-    ``columns[p, c]`` is the summed joint of class ``c`` under preparation
-    ``p``, and ``x[outcome, c]`` the response shared by the pairs of class
-    ``c``; so the LP sees the ontic space only through the likelihood ratios
-    that tell the classes apart.  The first ``classes`` rows are the
-    pointwise normalizations ``sum_k x[k, c] = 1``; then row ``p * k + out``
-    is the statistics equality ``sum_c columns[p, c] * x[out, c] + s+ - s- =
-    target_p[out]``, with its own slack pair.
-    """
-    classes, k, stats = columns.shape[1], targs.shape[1], targs.size
-    a_eq = np.zeros((classes + stats, k * classes + 2 * stats))
+    pairs, k, stats = flats.shape[1], targs.shape[1], targs.size
+    a_eq = np.zeros((pairs + stats, k * pairs + 2 * stats))
     for out in range(k):
-        np.fill_diagonal(a_eq[:classes, out * classes :], 1.0)
-        a_eq[classes + out :: k, out * classes : (out + 1) * classes] = columns
-    np.fill_diagonal(a_eq[classes:, k * classes :], 1.0)
-    np.fill_diagonal(a_eq[classes:, k * classes + stats :], -1.0)
-    return a_eq, np.concatenate([np.ones(classes), np.ravel(targs)])
+        np.fill_diagonal(a_eq[:pairs, out * pairs :], 1.0)
+        a_eq[pairs + out :: k, out * pairs : (out + 1) * pairs] = flats
+    np.fill_diagonal(a_eq[pairs:, k * pairs :], 1.0)
+    np.fill_diagonal(a_eq[pairs:, k * pairs + stats :], -1.0)
+    return a_eq, np.concatenate([np.ones(pairs), np.ravel(targs)])
 
 
 def _dyadic(values) -> tuple[np.ndarray, int]:
@@ -474,11 +447,10 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     1. The direct witness: each reached pair answers with the target row of
        the first preparation that reaches it, which is exact when all
        preparations reaching a pair expect the same row (disjoint supports,
-       one preparation).  A witness holds when its total miss over the
-       original pairs is at most ``EPS_LP``: the float sum decides unless it
-       lies within its proven error of ``EPS_LP``, and then the exact miss
-       does (:func:`_witness`).  ``max_residual`` is its largest residual
-       over every constraint.
+       one preparation).  A witness holds when its total miss is at most
+       ``EPS_LP``: the float sum decides unless it lies within its proven
+       error of ``EPS_LP``, and then the exact miss does (:func:`_witness`).
+       ``max_residual`` is its largest residual over every constraint.
     2. PBR's zero-cell dual, -1 on target cells at or below ``EPS_ZERO`` and
        +1 elsewhere (see :func:`pbr_contradiction`), proves a bound on every
        response function's total violation.  Whether that bound exceeds
@@ -490,25 +462,18 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
        the verdict is infeasible with no LP solved.  That witness proves
        nothing itself: it only decides whether the LP can add anything.
     3. The LP witness: one elastic LP, ``min 1.(s+ + s-)`` subject to the
-       normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``.
-       It has one column per class of reached pairs with proportional joints
-       (see :func:`_pair_classes`), so ``x`` holds one response row per class;
-       each class's row, given to every pair of the class, is the witness.
-    4. The LP certificate: the statistics duals prove, over the original
-       pairs, that every response function misses them by more than
-       ``EPS_LP`` in total, decided as in step 2.  ``violation_bound`` is the
-       float value less its error, rounded down, so it never exceeds the
-       exact bound; ``violated_constraint`` names the row the optimal ``x``
-       misses most.
+       normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``
+       (see :func:`_assemble_equalities`).  ``x`` holds one response row per
+       reached pair, and those rows are the witness.
+    4. The LP certificate: the statistics duals prove that every response
+       function misses them by more than ``EPS_LP`` in total, decided as in
+       step 2.  ``violation_bound`` is the float value less its error, rounded
+       down, so it never exceeds the exact bound; ``violated_constraint``
+       names the row the optimal ``x`` misses most.
     5. The zero-cell dual's bound of step 2, computed once, decides when it
        exceeds ``EPS_LP`` and the solver failed or its certificate fell
        short; ``violated_constraint`` then states only the proved bound,
        since no row is known to be missed most.
-
-    Classes are found by float equality, which does not make the joints of a
-    class exactly proportional, and a bound proved over classes would hold
-    only if they were; checking both verdicts over the original pairs keeps
-    them proved.
 
     When no proof holds, :class:`PbrCheckError` names what failed (the
     solver, or the LP witness's miss and its certificate's bound) and what
@@ -532,23 +497,21 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
         misses, lower = _compensation_misses(flats, joints, targs, reached), zero.floor()
         if misses.sum() <= lower + EPS_LP:
             return _infeasible(zero_y, lower, _missed_most(targs, misses, misses.sum(), lower))
-    label, columns = _pair_classes(flats)
-    classes = columns.shape[1]
-    a_eq, b_eq = _assemble_equalities(columns, targs)
+    pairs = reached.size
+    a_eq, b_eq = _assemble_equalities(flats, targs)
     # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
     # resolve violations far below EPS_LP.
-    cost = np.concatenate([np.zeros(k * classes), np.full(2 * targs.size, 1.0 / EPS_LP)])
+    cost = np.concatenate([np.zeros(k * pairs), np.full(2 * targs.size, 1.0 / EPS_LP)])
     from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
 
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     failure = f"LP solver failed: {res.message}"
     if res.status == 0:
-        # Each reached pair takes its class's row.
-        rows = np.maximum(res.x[: k * classes].reshape(k, classes).T, 0.0)[label]
+        rows = np.maximum(res.x[: k * pairs].reshape(k, pairs).T, 0.0)
         verdict, misses = _witness(joints, targs, reached, rows)
         if verdict is not None:
             return verdict
-        y = np.clip(res.eqlin.marginals[classes:] * EPS_LP, -1.0, 1.0)
+        y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
         bound = _certified_bound(flats, targs, y)
         if bound.exceeds_eps_lp():
             lower = bound.floor()

@@ -42,12 +42,13 @@ def as_distributions(values, what: str, sum_tol: float = EPS_PROB) -> np.ndarray
     if not np.isfinite(p).all():
         raise DomainError(f"each {what} must be finite")
     if (p < -EPS_ZERO).any():
-        raise DomainError(f"each {what} must be nonnegative, got min {p.min()!r}")
+        raise DomainError(f"each {what} must be nonnegative, got min {float(p.min())!r}")
     p = np.maximum(p, 0.0)  # a new array, so the caller's is never written
     with np.errstate(over="ignore"):  # entries near the float limit sum to inf, which is refused
         off = np.abs(p.sum(axis=-1) - 1.0)
     if (off > sum_tol).any():
-        raise DomainError(f"each {what} must be normalized to within {sum_tol!r}, but a sum is off 1 by {off.max()!r}")
+        worst = float(off.max())
+        raise DomainError(f"each {what} must be normalized to within {sum_tol!r}, but a sum is off 1 by {worst!r}")
     p.setflags(write=False)
     return p
 
@@ -56,8 +57,8 @@ def as_array(values, what: str, dtype=np.float64) -> np.ndarray:
     """``values`` as a ``dtype`` array, not copied when it is one already.
 
     Only numbers that cast to ``dtype`` within their kind are read; ``bool``,
-    strings and objects are refused, and so is what numpy cannot shape into an
-    array (ragged nesting).
+    strings and objects are refused, also beside numbers in a list or tuple,
+    and so is what numpy cannot shape into an array (ragged nesting).
     """
     try:
         array = np.asarray(values)
@@ -65,9 +66,19 @@ def as_array(values, what: str, dtype=np.float64) -> np.ndarray:
             if array.dtype.kind == "b" or not np.can_cast(array.dtype, dtype, "same_kind"):
                 raise TypeError(f"got {array.dtype} entries")
             array = array.astype(dtype)
+        if isinstance(values, (list, tuple)) and _holds_bool(values):
+            raise TypeError("got bool entries")
     except (TypeError, ValueError) as error:
         raise DomainError(f"{what} must be a rectangular array of numbers ({error})") from None
     return array
+
+
+def _holds_bool(values) -> bool:
+    """Whether the list or tuple ``values``, or one nested in it, holds a ``bool``, a numpy one or a ``bool`` array."""
+    return any(
+        _holds_bool(v) if isinstance(v, (list, tuple)) else isinstance(v, bool) or getattr(v, "dtype", None) == bool
+        for v in values
+    )
 
 
 def as_instance(value, kind: type, what: str):
@@ -210,5 +221,5 @@ def born_distribution(state, basis) -> np.ndarray:
     amplitudes = basis.outcomes.conj() @ v
     probs = np.abs(amplitudes) ** 2
     if abs(probs.sum() - 1.0) > EPS_PROB:
-        raise DomainError(f"outcome probabilities sum to {probs.sum()!r}, not 1")
+        raise DomainError(f"outcome probabilities sum to {float(probs.sum())!r}, not 1")
     return probs

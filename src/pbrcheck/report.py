@@ -105,7 +105,7 @@ class ReportDocument:
             return self.to_csv()
         if fmt == "text":
             return self.to_text()
-        raise ValueError(f"unknown format {fmt!r}")
+        raise DomainError(f"unknown format {fmt!r}")
 
 
 def _verdict_entry(verdict) -> dict:
