@@ -22,8 +22,9 @@ than it proves, so that no LP could add anything; the witness of one elastic
 LP; that LP's dual certificate; and the zero-cell dual again.  A witness's
 total miss and a certificate's bound are each compared with ``EPS_LP``
 exactly: a float evaluation decides when it lies farther from ``EPS_LP`` than
-its proven rounding error, and the exact ``Fraction`` only inside that error
-(:class:`_Estimate`).  :class:`PbrCheckError` means that no proof holds.
+its proven rounding error, and only inside that error the exact ``Fraction``,
+which reads every float as the fraction it equals (:class:`_Estimate`).
+:class:`PbrCheckError` means that no proof holds.
 :func:`pbr_contradiction` is the independent analytic shortcut for the
 four-preparation scenario with a zero-outcome pairing that covers every
 outcome.
@@ -241,7 +242,7 @@ class FeasibilityVerdict:
 
 
 def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked joints ``(p, n, n)`` and target rows ``(p, k)`` of a checked instance."""
+    """Flat joints ``(p, n * n)`` and target rows ``(p, k)`` of a checked instance."""
     try:
         preps, targs = [as_array(j, "joint") for j in preparations], [as_array(t, "target row") for t in targets]
     except TypeError:  # not iterable
@@ -259,7 +260,7 @@ def _validate_instance(preparations, targets) -> tuple[np.ndarray, np.ndarray]:
     k = targs[0].size
     if any(t.ndim != 1 or t.size != k for t in targs):
         raise DomainError("target rows must all have the same outcome count")
-    return joints.reshape(-1, n, n), as_distributions(targs, "target row")
+    return joints, as_distributions(targs, "target row")
 
 
 def _assemble_equalities(flats, targs):
@@ -281,13 +282,8 @@ def _assemble_equalities(flats, targs):
     return a_eq, np.concatenate([np.ones(pairs), np.ravel(targs)])
 
 
-def _dyadic(values) -> tuple[np.ndarray, int]:
-    """Python integers ``m`` (same shape) and a shift ``e`` with ``values == m / 2**e`` exactly."""
-    ratios = [v.as_integer_ratio() for v in np.ravel(values).tolist()]
-    shift = max(d.bit_length() - 1 for _, d in ratios)
-    ints = [num << (shift - d.bit_length() + 1) for num, d in ratios]
-    return np.array(ints, dtype=object).reshape(np.shape(values)), shift
-
+#: Float array to an object array of the ``Fraction`` each entry equals; every finite float is one.
+_fractions = np.frompyfunc(Fraction, 1, 1)
 
 #: Unit roundoff of float64.
 _U = 2.0**-53
@@ -342,57 +338,48 @@ def _certified_bound(flats, targs, y) -> _Estimate:
     ``sum(flats) + sum(targs) < 4 p``, because ``|y| <= 1`` and every
     validated row is nonnegative and sums to less than 2; so it is off the
     bound by at most ``8 m p u`` (see :class:`_Estimate`).  The exact bound
-    reads every float as a dyadic rational, so neither verdict rests on the
-    solver's arithmetic.
+    reads every float as the ``Fraction`` it equals, so neither verdict rests
+    on the solver's arithmetic.
     """
     duals = y.reshape(len(flats), -1)
     value = float((targs * duals).sum() - (flats.T @ duals).max(axis=1).sum())
     terms = flats.shape[1] + len(flats) + duals.size + 1
 
     def exact() -> Fraction:
-        joints, j_shift = _dyadic(flats)
-        ints, y_shift = _dyadic(duals)
-        target, t_shift = _dyadic(targs)
-        gain = joints.T.dot(ints)
-        return Fraction(int((target * ints).sum()), 1 << (t_shift + y_shift)) - Fraction(
-            int(gain.max(axis=1).sum()), 1 << (j_shift + y_shift)
-        )
+        gain = _fractions(flats).T @ _fractions(duals)
+        return (_fractions(targs) * _fractions(duals)).sum() - gain.max(axis=1).sum()
 
     return _Estimate(value, (8 * terms * len(flats) + 1) * _U, exact)
 
 
-def _witness(joints, targs, reached, rows) -> tuple[FeasibilityVerdict | None, np.ndarray]:
-    """Feasible verdict whose witness gives pair ``reached[i]`` the row ``rows[i]``, and its misses.
+def _witness(flats, targs, rows) -> tuple[np.ndarray | None, np.ndarray]:
+    """The ``rows`` (one per reached pair) renormalized, or None if they miss by more than ``EPS_LP``; and the misses.
 
-    Rows are renormalized and unreached pairs answer uniformly.  The verdict
-    is None when the witness, substituted back over the original joints,
-    misses the statistics by more than ``EPS_LP`` in total; otherwise its
-    ``max_residual`` is the largest residual of every equality.  The total
-    miss is decided exactly: its float sums ``m = n**2 + p k + 1`` terms
-    (``n**2`` products and a target per miss, then ``p k`` misses) whose
-    absolute values sum to less than ``6 p``, since every validated or
-    renormalized row is nonnegative and sums to less than 2, so it is off by
-    at most ``12 m p u`` (see :class:`_Estimate`).
+    The rows are substituted back over the joints ``flats`` of the reached
+    pairs, and the total miss of the statistics is decided exactly: its float
+    sums ``m = pairs + p k + 1`` terms (``pairs`` products and a target per
+    miss, then ``p k`` misses) whose absolute values sum to less than ``6 p``,
+    since every validated or renormalized row is nonnegative and sums to less
+    than 2, so it is off by at most ``12 m p u`` (see :class:`_Estimate`).
+    The exact miss reads every float as the ``Fraction`` it equals.
     """
-    n, k = joints.shape[1], targs.shape[1]
-    table = np.full((n * n, k), 1.0 / k)
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    misses = np.abs(flats @ rows - targs)
+    terms = flats.shape[1] + misses.size + 1
+    total = _Estimate(
+        float(misses.sum()),
+        (12 * terms * len(flats) + 1) * _U,
+        lambda: np.abs(_fractions(flats) @ _fractions(rows) - _fractions(targs)).sum(),
+    )
+    return (None if total.exceeds_eps_lp() else rows), misses
+
+
+def _feasible(n: int, reached, rows, misses) -> FeasibilityVerdict:
+    """Feasible verdict: pair ``reached[i]`` answers ``rows[i]``, others 1/k; ``max_residual`` of every equality."""
+    table = np.full((n * n, rows.shape[1]), 1.0 / rows.shape[1])
     table[reached] = rows
-    table = (table / table.sum(axis=1, keepdims=True)).reshape(n, n, k)
-    misses = np.abs(np.einsum("pij,ijk->pk", joints, table) - targs)
-
-    def exact() -> Fraction:
-        j, j_shift = _dyadic(joints.reshape(len(joints), -1))
-        x, x_shift = _dyadic(table.reshape(-1, k))
-        t, t_shift = _dyadic(targs)
-        shift = max(j_shift + x_shift, t_shift)
-        diff = j.dot(x) * (1 << (shift - j_shift - x_shift)) - t * (1 << (shift - t_shift))
-        return Fraction(int(np.abs(diff).sum()), 1 << shift)
-
-    terms = n * n + misses.size + 1
-    if _Estimate(float(misses.sum()), (12 * terms * len(joints) + 1) * _U, exact).exceeds_eps_lp():
-        return None, misses
-    worst = max(float(np.max(np.abs(table.sum(axis=2) - 1.0))), float(misses.max()))
-    return FeasibilityVerdict(True, witness=ResponseFunction(table), max_residual=worst), misses
+    worst = max(float(np.max(np.abs(table.sum(axis=1) - 1.0))), float(misses.max()))
+    return FeasibilityVerdict(True, witness=ResponseFunction(table.reshape(n, n, -1)), max_residual=worst)
 
 
 def _infeasible(y, bound: float, missed: str) -> FeasibilityVerdict:
@@ -411,8 +398,8 @@ def _missed_most(targs, misses, total, bound: float) -> str:
     )
 
 
-def _compensation_misses(flats, joints, targs, reached) -> np.ndarray:
-    """Misses of the compensation witness, the primal partner of the zero-cell dual.
+def _compensation_rows(flats, targs) -> np.ndarray:
+    """Rows of the compensation witness, the primal partner of the zero-cell dual, one per reached pair.
 
     A pair reached by several preparations answers with their posterior
     mixture ``sum_p joint_p t_p / sum_p joint_p`` of target rows, less every
@@ -431,7 +418,7 @@ def _compensation_misses(flats, joints, targs, reached) -> np.ndarray:
     owed = np.maximum(targs - flats[:, shared] @ rows[shared], 0.0)
     owed = np.where(owed.sum(axis=1, keepdims=True) > 0.0, owed, targs)
     rows[~shared] = owed[np.argmax(reach[:, ~shared], axis=0)]
-    return _witness(joints, targs, reached, rows)[1]
+    return rows
 
 
 def feasibility(preparations, targets) -> FeasibilityVerdict:
@@ -457,7 +444,7 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
        ``EPS_LP`` is decided as for a witness: by its float value, off it by
        at most a stated error, and by the exact ``Fraction`` when the float
        lies within that error (:func:`_certified_bound`).  When it does and
-       the compensation witness (:func:`_compensation_misses`) misses by at
+       the compensation witness (:func:`_compensation_rows`) misses by at
        most the bound plus ``EPS_LP``, the two pin the minimal violation, and
        the verdict is infeasible with no LP solved.  That witness proves
        nothing itself: it only decides whether the LP can add anything.
@@ -480,21 +467,20 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     the zero-cell dual proved.  Near the threshold this decision and
     :func:`pbr_contradiction` can differ (see there).
     """
-    joints, targs = _validate_instance(preparations, targets)
-    n, k = joints.shape[1], targs.shape[1]
-    flats = joints.reshape(len(joints), n * n)
+    flats, targs = _validate_instance(preparations, targets)
+    n, k = math.isqrt(flats.shape[1]), targs.shape[1]
     # Pairs that no preparation reaches are unconstrained: they stay out of
-    # the LP and answer uniformly.
+    # every check and answer uniformly.
     reached = np.flatnonzero(np.any(flats != 0.0, axis=0))
     flats = flats[:, reached]
-    verdict, _ = _witness(joints, targs, reached, targs[np.argmax(flats != 0.0, axis=0)])
-    if verdict is not None:
-        return verdict
+    rows, misses = _witness(flats, targs, targs[np.argmax(flats != 0.0, axis=0)])
+    if rows is not None:
+        return _feasible(n, reached, rows, misses)
     zero_y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
     zero = _certified_bound(flats, targs, zero_y)
     zero_proved = zero.exceeds_eps_lp()
     if zero_proved:
-        misses, lower = _compensation_misses(flats, joints, targs, reached), zero.floor()
+        misses, lower = _witness(flats, targs, _compensation_rows(flats, targs))[1], zero.floor()
         if misses.sum() <= lower + EPS_LP:
             return _infeasible(zero_y, lower, _missed_most(targs, misses, misses.sum(), lower))
     pairs = reached.size
@@ -507,10 +493,9 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     failure = f"LP solver failed: {res.message}"
     if res.status == 0:
-        rows = np.maximum(res.x[: k * pairs].reshape(k, pairs).T, 0.0)
-        verdict, misses = _witness(joints, targs, reached, rows)
-        if verdict is not None:
-            return verdict
+        rows, misses = _witness(flats, targs, np.maximum(res.x[: k * pairs].reshape(k, pairs).T, 0.0))
+        if rows is not None:
+            return _feasible(n, reached, rows, misses)
         y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
         bound = _certified_bound(flats, targs, y)
         if bound.exceeds_eps_lp():

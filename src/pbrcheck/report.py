@@ -11,10 +11,12 @@ from __future__ import annotations
 import io
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .ontic import FeasibilityVerdict
+from .quantum import as_real
 from .scenarios import ProbabilityTable, payload_field
 
 
@@ -109,9 +111,19 @@ class ReportDocument:
 
 
 def _verdict_entry(verdict) -> dict:
-    """A verdict entry read back, refused unless it is a dict whose status is "feasible" or "infeasible"."""
+    """A verdict entry read back, refused unless it is a dict whose status is "feasible" or "infeasible".
+
+    A ``name``, if given, must be a ``str``; a ``violated_constraint`` that is
+    not None a ``str``, and a ``max_residual`` that is not None a real >= 0.
+    """
     if payload_field(verdict, "status", str) not in ("feasible", "infeasible"):
         raise DomainError(f"status must be 'feasible' or 'infeasible', got {verdict['status']!r}")
+    if "name" in verdict:
+        payload_field(verdict, "name", str)
+    if verdict.get("violated_constraint") is not None:
+        payload_field(verdict, "violated_constraint", str)
+    if verdict.get("max_residual") is not None:
+        as_real(verdict["max_residual"], "max_residual", 0, math.inf)
     return verdict
 
 

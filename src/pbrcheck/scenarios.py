@@ -166,9 +166,10 @@ class ProbabilityTable:
         """Rebuild a table from :meth:`to_dict` output, revalidating invariants.
 
         Values pass through unconverted, so the constructor refuses what it
-        would refuse from a caller.  The redundant ``zero_flags``/``row_sums``
-        entries must match what the rebuilt table computes, so a corrupted
-        document fails loudly.
+        would refuse from a caller.  The redundant ``zero_flags`` (lists of
+        ``bool``) and ``row_sums`` (numbers, read by :func:`as_array`) must
+        match what the rebuilt table computes, so a corrupted document fails
+        loudly.
         """
         table = cls(
             row_labels=payload_field(payload, "row_labels", list),
@@ -177,9 +178,12 @@ class ProbabilityTable:
             zero_threshold=payload_field(payload, "zero_threshold"),
             title=payload_field(payload, "title"),
         )
-        if payload_field(payload, "zero_flags", list) != table.zero_flags.tolist():
+        flags = payload_field(payload, "zero_flags", list)
+        if not all(isinstance(row, list) and all(isinstance(f, bool) for f in row) for row in flags):
+            raise DomainError(f"zero_flags must be a list of lists of bool, got {flags!r}")
+        if flags != table.zero_flags.tolist():
             raise DomainError("serialized zero_flags do not match the probabilities")
-        if not np.array_equal(payload_field(payload, "row_sums", list), table.row_sums()):
+        if not np.array_equal(as_array(payload_field(payload, "row_sums", list), "row_sums"), table.row_sums()):
             raise DomainError("serialized row_sums do not match the probabilities")
         return table
 

@@ -132,22 +132,44 @@ def certified_violation_bound(joints, targets, duals) -> Fraction:
     return bound
 
 
-def witness_total_miss(joints, targets, table) -> Fraction:
-    """Total violation of the statistics under the response ``table``, in exact rationals.
+def witness_misses(joints, targets, table) -> list:
+    """Miss of every statistics equality under the response ``table``, in exact rationals.
 
-    sum_{p,k} |sum_pairs joint_p[pair] * table[pair][k] - target_p[k]|, every
-    float read exactly and summed by explicit loops.
+    |sum_pairs joint_p[pair] * table[pair][k] - target_p[k]| for every
+    preparation p and outcome k, row-major, every float read exactly and
+    summed by explicit loops.
     """
     size, k = len(joints[0]), len(targets[0])
-    total = Fraction(0)
+    misses = []
     for j, row in zip(joints, targets):
         for out in range(k):
             predicted = Fraction(0)
             for l1 in range(size):
                 for l2 in range(size):
                     predicted += Fraction(float(j[l1][l2])) * Fraction(float(table[l1][l2][out]))
-            total += abs(predicted - Fraction(float(row[out])))
-    return total
+            misses.append(abs(predicted - Fraction(float(row[out]))))
+    return misses
+
+
+def witness_total_miss(joints, targets, table) -> Fraction:
+    """Total violation of the statistics under the response ``table``, in exact rationals."""
+    return sum(witness_misses(joints, targets, table), Fraction(0))
+
+
+def witness_max_residual(joints, targets, table) -> Fraction:
+    """Largest residual under the response ``table``, in exact rationals.
+
+    The residuals are |sum_k table[pair][k] - 1| for every pair and the miss
+    of every statistics equality (:func:`witness_misses`).
+    """
+    residuals = witness_misses(joints, targets, table)
+    for plane in table:
+        for row in plane:
+            total = Fraction(0)
+            for x in row:
+                total += Fraction(float(x))
+            residuals.append(abs(total - 1))
+    return max(residuals)
 
 
 def per_sample_block_counts(mass1, mass2, table, block, n_samples, root) -> np.ndarray:

@@ -484,10 +484,10 @@ class TestLpCalls:
 
 
 @pytest.fixture
-def dyadic_calls(monkeypatch):
-    """The arrays passed to ``ontic._dyadic``, through which every exact comparison reads its floats."""
-    calls, dyadic = [], ontic._dyadic
-    monkeypatch.setattr(ontic, "_dyadic", lambda values: calls.append(values) or dyadic(values))
+def fraction_calls(monkeypatch):
+    """The arrays passed to ``ontic._fractions``, through which every exact comparison reads its floats."""
+    calls, fractions = [], ontic._fractions
+    monkeypatch.setattr(ontic, "_fractions", lambda values: calls.append(values) or fractions(values))
     return calls
 
 
@@ -499,36 +499,58 @@ class TestExactComparisons:
     """A float within its proven error of ``EPS_LP`` leaves the verdict to the exact quantity, and only then."""
 
     @pytest.mark.parametrize("bound", AROUND_EPS_LP, ids=["below", "at", "above"])
-    def test_a_certificate_bound_at_the_threshold_is_decided_exactly(self, bound, dyadic_calls):
+    def test_a_certificate_bound_at_the_threshold_is_decided_exactly(self, bound, fraction_calls):
         """Two preparations share one pair; the duals (1, -1) and (-1, 1) gain nothing on it, so they prove
         exactly ``t0[0] - t0[1] - t1[0] + t1[1]``, here ``bound``."""
         joints, targets, duals = [[[1.0]], [[1.0]]], [[bound, 0.0], [0.0, 0.0]], np.array([1.0, -1.0, -1.0, 1.0])
         estimate = _certified_bound(np.ravel(joints).reshape(2, 1), np.array(targets), duals)
         exact = oracles.certified_violation_bound(joints, targets, duals)
         assert estimate.value == bound and exact == Fraction(bound)
-        assert estimate.exceeds_eps_lp() == (exact > EPS_LP) and dyadic_calls
+        assert estimate.exceeds_eps_lp() == (exact > EPS_LP) and fraction_calls
         assert estimate.floor() <= exact
 
     @pytest.mark.parametrize("miss", AROUND_EPS_LP, ids=["below", "at", "above"])
-    def test_a_witness_miss_at_the_threshold_is_decided_exactly(self, miss, dyadic_calls):
+    def test_a_witness_miss_at_the_threshold_is_decided_exactly(self, miss, fraction_calls):
         """One preparation on one pair, answered with (1, 0) where the target row is (1, ``miss``)."""
-        joints, targets = np.ones((1, 1, 1)), np.array([[1.0, miss]])
-        verdict, misses = _witness(joints, targets, np.array([0]), np.array([[1.0, 0.0]]))
-        exact = oracles.witness_total_miss(joints, targets, [[[1.0, 0.0]]])
+        targets = np.array([[1.0, miss]])
+        rows, misses = _witness(np.ones((1, 1)), targets, np.array([[1.0, 0.0]]))
+        exact = oracles.witness_total_miss(np.ones((1, 1, 1)), targets, [[[1.0, 0.0]]])
         assert misses.sum() == miss and exact == Fraction(miss)
-        assert (verdict is None) == (exact > EPS_LP) and dyadic_calls
+        assert (rows is None) == (exact > EPS_LP) and fraction_calls
 
     @pytest.mark.parametrize("pbr", [True, False], ids=["pbr", "mz"])
     @pytest.mark.parametrize("q", [0.0, 1e-3, 0.3, 1.0])
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_overlap_pairs_need_no_exact_arithmetic(self, n, q, pbr, dyadic_calls):
+    def test_overlap_pairs_need_no_exact_arithmetic(self, n, q, pbr, fraction_calls):
         m0, m1 = (mu.mass for mu in overlap_pair(OnticSpace(n), q))
         feasibility(*scenario_instance(m0, m1, pbr))
-        assert dyadic_calls == []
+        assert fraction_calls == []
 
-    def test_the_lp_pair_needs_no_exact_arithmetic(self, dyadic_calls):
+    def test_the_lp_pair_needs_no_exact_arithmetic(self, fraction_calls):
         assert not feasibility(*scenario_instance(*LP_PAIR, pbr=True)).feasible
-        assert dyadic_calls == []
+        assert fraction_calls == []
+
+
+class TestWitnessTable:
+    """A feasible verdict's table gives each reached pair its witness row and every other pair 1/k."""
+
+    def test_unreached_pairs_answer_uniformly(self):
+        """At q = 0 on 5 states each PBR preparation reaches one pair, that of its two point masses."""
+        preparations, targets = scenario_instance(*(mu.mass for mu in overlap_pair(OnticSpace(5), 0.0)), pbr=True)
+        table = feasibility(preparations, targets).witness.table
+        expected = np.full((5, 5, 4), 0.25)
+        for joint_p, row in zip(preparations, targets):
+            assert np.count_nonzero(joint_p) == 1
+            expected[np.unravel_index(np.argmax(joint_p), joint_p.shape)] = row / row.sum()
+        np.testing.assert_array_equal(table, expected)
+
+    @pytest.mark.parametrize(("pbr", "q"), [(True, 0.0), (True, 1e-5), (False, 0.3), (False, 1.0)])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_max_residual_is_the_largest_exact_residual(self, n, pbr, q):
+        preparations, targets = scenario_instance(*(mu.mass for mu in overlap_pair(OnticSpace(n), q)), pbr)
+        verdict = feasibility(preparations, targets)
+        exact = oracles.witness_max_residual(preparations, targets, verdict.witness.table)
+        assert abs(Fraction(verdict.max_residual) - exact) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -713,6 +735,27 @@ def test_a_verdict_without_an_lp_is_a_witness_checked_exactly(instance):
     else:
         np.testing.assert_array_equal(verdict.certificate, zero_cell_dual(targets))
         assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
+
+
+@settings(deadline=None, max_examples=100)
+@given(instances())
+def test_exact_values_equal_the_oracles(instance):
+    """The zero-cell bound and the direct witness's total miss, as their ``exact()`` reads every float as a
+    Fraction, equal the oracles' explicit loops over the same validated floats."""
+    flats, targs = _validate_instance(*instance)
+    n = math.isqrt(flats.shape[1])
+    joints, duals = flats.reshape(-1, n, n), zero_cell_dual(targs)
+    assert _certified_bound(flats, targs, duals).exact() == oracles.certified_violation_bound(joints, targs, duals)
+    reached = np.flatnonzero(flats.any(axis=0))
+    rows = targs[np.argmax(flats[:, reached] != 0.0, axis=0)]
+    table = np.zeros((n * n, targs.shape[1]))
+    table[reached] = rows / rows.sum(axis=1, keepdims=True)
+    estimates, estimate = [], ontic._Estimate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ontic, "_Estimate", lambda *args: estimates.append(estimate(*args)) or estimates[-1])
+        _witness(flats[:, reached], targs, rows)
+    (miss,) = estimates
+    assert miss.exact() == oracles.witness_total_miss(joints, targs, table.reshape(n, n, -1))
 
 
 @settings(deadline=None, max_examples=60)

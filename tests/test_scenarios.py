@@ -290,8 +290,11 @@ class TestProbabilityTable:
             ("title", 5, "title must be a str, got 5"),
             ("row_labels", "abcd", "row_labels must be a list, got 'abcd'"),
             ("zero_flags", None, "document has no 'zero_flags'"),
+            ("zero_flags", np.eye(4, dtype=int).tolist(), "zero_flags must be a list of lists of bool, got [[1, 0,"),
+            ("zero_flags", np.eye(4).tolist(), "zero_flags must be a list of lists of bool, got [[1.0, 0.0,"),
+            ("row_sums", [True] * 4, "row_sums must be a rectangular array of numbers (got bool entries)"),
         ],
-        ids=["int-title", "str-row-labels", "no-zero-flags"],
+        ids=["int-title", "str-row-labels", "no-zero-flags", "int-zero-flags", "float-zero-flags", "bool-row-sums"],
     )
     def test_from_dict_refuses_what_it_would_coerce(self, key, value, message):
         """A value of None drops the key from the payload."""
@@ -320,6 +323,16 @@ class TestProbabilityTable:
              '"probabilities": [["0.5", "0.5"]], "zero_threshold": 1e-09, "zero_flags": [[false, false]], '
              '"row_sums": [1.0]}], "verdicts": [], "metadata": {}, "extras": {}}',
              "probabilities must be a rectangular array of numbers (got <U3 entries)"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "feasible", "max_residual": "abc"}], '
+             '"metadata": {}, "extras": {}}', "max_residual must be a real number in [0, inf], got 'abc'"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "feasible", "max_residual": "1e-9"}], '
+             '"metadata": {}, "extras": {}}', "max_residual must be a real number in [0, inf], got '1e-9'"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "feasible", "max_residual": true}], '
+             '"metadata": {}, "extras": {}}', "max_residual must be a real number in [0, inf], got True"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "infeasible", "violated_constraint": 5}], '
+             '"metadata": {}, "extras": {}}', "violated_constraint must be a str, got 5"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "feasible", "name": null}], '
+             '"metadata": {}, "extras": {}}', "name must be a str, got None"),
         ],
         ids=[
             "str-verdicts",
@@ -329,6 +342,11 @@ class TestProbabilityTable:
             "verdict-without-status",
             "unknown-status",
             "numeric-string-probabilities",
+            "str-max-residual",
+            "numeric-string-max-residual",
+            "bool-max-residual",
+            "int-violated-constraint",
+            "null-name",
         ],
     )
     def test_documents_are_refused_not_coerced(self, text, message):
