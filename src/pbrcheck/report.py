@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .ontic import FeasibilityVerdict
+from .ontic import FeasibilityVerdict, ResponseFunction
 from .quantum import as_real
 from .scenarios import ProbabilityTable, payload_field
 
@@ -45,7 +45,11 @@ class ReportDocument:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ReportDocument":
-        """Rebuild a document, revalidating every table's invariants; a missing key or a wrong type is refused."""
+        """Rebuild a document, revalidating every table's invariants.
+
+        A missing key, a wrong type and a float that is not finite are refused.
+        """
+        _finite(payload, "document")
         return cls(
             scenario=payload_field(payload, "scenario", str),
             tables=[ProbabilityTable.from_dict(t) for t in payload_field(payload, "tables", list)],
@@ -59,7 +63,7 @@ class ReportDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
-        return cls.from_payload(json.loads(text))
+        return cls.from_payload(json.loads(text, parse_constant=_no_constant))
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario}"]
@@ -110,20 +114,42 @@ class ReportDocument:
         raise DomainError(f"unknown format {fmt!r}")
 
 
+def _no_constant(token: str):
+    """``json.loads``'s reader of NaN, Infinity and -Infinity, which RFC 8259 does not allow: refuse them."""
+    raise DomainError(f"document holds {token}, which is not JSON")
+
+
+def _finite(value, where: str) -> None:
+    """Refuse a float that is not finite anywhere in ``value``, naming where it is."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{where} must be finite, got {value!r}")
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, (list, tuple)) else ()
+    for key, item in items:
+        _finite(item, f"{where}[{key!r}]")
+
+
 def _verdict_entry(verdict) -> dict:
     """A verdict entry read back, refused unless it is a dict whose status is "feasible" or "infeasible".
 
-    A ``name``, if given, must be a ``str``; a ``violated_constraint`` that is
-    not None a ``str``, and a ``max_residual`` that is not None a real >= 0.
+    A ``name``, if given, must be a ``str``.  A feasible verdict may hold a
+    ``max_residual``, a real >= 0, and a ``witness``, a response table; an
+    infeasible one a ``violated_constraint``, a ``str``.  A field that is None
+    counts as absent, and neither status holds the other's fields.
     """
-    if payload_field(verdict, "status", str) not in ("feasible", "infeasible"):
-        raise DomainError(f"status must be 'feasible' or 'infeasible', got {verdict['status']!r}")
+    status = payload_field(verdict, "status", str)
+    if status not in ("feasible", "infeasible"):
+        raise DomainError(f"status must be 'feasible' or 'infeasible', got {status!r}")
     if "name" in verdict:
         payload_field(verdict, "name", str)
+    for key in ("violated_constraint",) if status == "feasible" else ("max_residual", "witness"):
+        if verdict.get(key) is not None:
+            raise DomainError(f"{status} verdict holds a {key}")
     if verdict.get("violated_constraint") is not None:
         payload_field(verdict, "violated_constraint", str)
     if verdict.get("max_residual") is not None:
         as_real(verdict["max_residual"], "max_residual", 0, math.inf)
+    if verdict.get("witness") is not None:
+        ResponseFunction(verdict["witness"])
     return verdict
 
 

@@ -60,34 +60,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "feasibility", "--scenario", "mz", "--q", "0.3")
         assert code == 0
 
-    def test_unknown_command_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "no-such-command")
-        assert code == 1
-        assert "usage: pbrcheck" in err
-
-    def test_unknown_option_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "pbr-table", "--bogus")
-        assert code == 1
-
-    def test_bad_theta_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "theta", "--theta", "3.5")
-        assert code == 1
-        assert "usage: pbrcheck" in err
-
-    def test_bad_lambda_size_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "feasibility", "--lambda-size", "9")
-        assert code == 1
-
-    def test_overlap_needs_room_for_a_middle_block(self, capsys):
-        code, _, err = run(capsys, "feasibility", "--lambda-size", "2", "--q", "0.5")
-        assert code == 1
-        assert "3 ontic states" in err
-
-    @pytest.mark.parametrize("flags", [["-u"], []], ids=["unbuffered", "buffered"])
-    def test_io_error_exits_two(self, flags):
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [(["pbr-table"], ["-u"]), (["pbr-table"], []), (["--help"], ["-u"]), (["--help"], [])],
+        ids=["unbuffered", "buffered", "help-unbuffered", "help-buffered"],
+    )
+    def test_io_error_exits_two(self, argv, flags):
+        """A document or the help written to a full disk exits 2, whether the write or the last flush fails."""
         with open("/dev/full", "w") as sink:
             proc = subprocess.run(
-                [sys.executable, *flags, "-m", "pbrcheck", "pbr-table"],
+                [sys.executable, *flags, "-m", "pbrcheck", *argv],
                 stdout=sink,
                 stderr=subprocess.PIPE,
                 env=child_env(),
@@ -136,6 +118,9 @@ USAGE_ERRORS = [
     ("montecarlo --seed -1", "seed must be an integer in [0, inf), got -1"),
     ("montecarlo --samples 100000000000000000000", f"samples must be an integer in [1, {2**63}), got {10**20}"),
     ("theta", "required: --theta"),
+    *((f"theta --theta {theta}", f"theta must be a real number in (0, {math.pi})") for theta in ("0", "3.5")),
+    ("no-such-command", "invalid choice: 'no-such-command'"),
+    ("pbr-table --bogus", "unrecognized arguments: --bogus"),
     ("--lam 4 pbr-table", "invalid choice: '4'"),
     ("feasibility --lam 5", "unrecognized arguments: --lam 5"),
     ("", "required: COMMAND"),
@@ -287,15 +272,31 @@ class TestFeasibilityCommand:
     def test_document_states_agreement_with_the_predicate(self, capsys, q, status, agreement, exit_code):
         code, out, _ = run(capsys, "--format", "json", "feasibility", "--q", q)
         doc = ReportDocument.from_json(out)
-        assert doc.verdicts[0]["status"] == status
+        verdict = doc.verdicts[0]
+        assert verdict["status"] == status
         assert doc.extras["agreement"] is agreement
         assert code == exit_code
+        if status == "feasible":  # at q = 1e-4 the LP's witness, one response row per reached pair
+            assert verdict["max_residual"] <= 1e-7
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            ("--format json feasibility --scenario mz --lambda-size 8 --q 1.0", 0),
+            ("feasibility --lambda-size 3 --q 1.0", 3),
+        ],
+    )
+    def test_exit_code_at_full_overlap(self, capsys, argv, exit_code):
+        """Identical preparations reproduce mz's single Born row, but not PBR's four."""
+        assert run(capsys, *argv.split())[0] == exit_code
 
 
 def test_text_document_states_the_scenario_once(capsys):
+    """Each run parameter once, and the zero-cell dual's 2 q**2 = 0.18 once, read as its float less a proven error."""
     code, out, _ = run(capsys, "feasibility", "--q", "0.3")
     assert code == 3
     assert [line for line in out.splitlines() if line.startswith("scenario:")] == ["scenario: feasibility-pbr"]
+    assert out.count("certified at least 1.800e-01") == 1
 
 
 @pytest.mark.parametrize(
@@ -423,6 +424,11 @@ class TestMonteCarloCommand:
 
         misses = sum(not np.all(np.abs(frequencies(seed) - targets) <= bounds) for seed in range(1500))
         assert misses <= 12
+
+    def test_exit_code_follows_the_document_at_1e8_samples(self, capsys):
+        """About 3000 sample blocks per preparation, where the other tests draw a few."""
+        code, out, _ = run(capsys, "--format", "json", "montecarlo", "--samples", "100000000")
+        assert code == (0 if ReportDocument.from_json(out).extras["within_bounds"] else 3)
 
     def test_same_seed_is_byte_identical(self, capsys):
         args = ("--format", "json", "montecarlo", "--samples", "5000", "--seed", "123")

@@ -552,6 +552,17 @@ class TestWitnessTable:
         exact = oracles.witness_max_residual(preparations, targets, verdict.witness.table)
         assert abs(Fraction(verdict.max_residual) - exact) <= 1e-15
 
+    def test_max_residual_counts_the_row_normalizations(self):
+        """A target row whose float sum is 1 - 2**-52: renormalized, it misses each target by 2**-54 and sums
+        to 1 - 2**-53, both exact in float, so its normalization alone sets ``max_residual``."""
+        preparations = [np.array([[1.0]])]
+        targets = [np.array([0.336993749943085, 0.36473423229002216, 0.29827201776689255])]
+        verdict = feasibility(preparations, targets)
+        table = verdict.witness.table
+        assert max(oracles.witness_misses(preparations, targets, table)) == Fraction(1, 2**54)
+        assert Fraction(verdict.max_residual) == oracles.witness_max_residual(preparations, targets, table)
+        assert verdict.max_residual == 2.0**-53
+
 
 @pytest.mark.parametrize(
     "m0, m1, bound",

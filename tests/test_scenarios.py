@@ -333,6 +333,30 @@ class TestProbabilityTable:
              '"metadata": {}, "extras": {}}', "violated_constraint must be a str, got 5"),
             ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "feasible", "name": null}], '
              '"metadata": {}, "extras": {}}', "name must be a str, got None"),
+            *(
+                (f'{{"scenario": "pbr", "tables": [], "verdicts": [{{"status": "feasible", "witness": {witness}}}], '
+                 '"metadata": {}, "extras": {}}', message)
+                for witness, message in [
+                    ('"abc"', "response table must be a rectangular array of numbers (got <U3 entries)"),
+                    ("3", "response table must have shape (n, n, outcomes), got ()"),
+                    ("[[1]]", "response table must have shape (n, n, outcomes), got (1, 1)"),
+                ]
+            ),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "infeasible", "witness": [[[1.0]]]}], '
+             '"metadata": {}, "extras": {}}', "infeasible verdict holds a witness"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "infeasible", "max_residual": 0.0}], '
+             '"metadata": {}, "extras": {}}', "infeasible verdict holds a max_residual"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "feasible", "violated_constraint": "x"}], '
+             '"metadata": {}, "extras": {}}', "feasible verdict holds a violated_constraint"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [{"status": "feasible", "max_residual": 1e400}], '
+             '"metadata": {}, "extras": {}}', "document['verdicts'][0]['max_residual'] must be finite, got inf"),
+            ('{"scenario": "pbr", "tables": [], "verdicts": [], "metadata": {"q": -1e400}, "extras": {}}',
+             "document['metadata']['q'] must be finite, got -inf"),
+            *(
+                (f'{{"scenario": "pbr", "tables": [], "verdicts": [], "metadata": {{}}, "extras": {{"x": [{token}]}}}}',
+                 f"document holds {token}, which is not JSON")
+                for token in ("NaN", "Infinity", "-Infinity")
+            ),
         ],
         ids=[
             "str-verdicts",
@@ -347,11 +371,29 @@ class TestProbabilityTable:
             "bool-max-residual",
             "int-violated-constraint",
             "null-name",
+            "str-witness",
+            "int-witness",
+            "flat-witness",
+            "infeasible-witness",
+            "infeasible-max-residual",
+            "feasible-violated-constraint",
+            "overflowing-max-residual",
+            "overflowing-metadata",
+            "nan-token",
+            "infinity-token",
+            "minus-infinity-token",
         ],
     )
     def test_documents_are_refused_not_coerced(self, text, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             ReportDocument.from_json(text)
+
+    @pytest.mark.parametrize("key", ["metadata", "extras"])
+    def test_payloads_with_floats_that_are_not_finite_are_refused(self, key):
+        payload = {"scenario": "pbr", "tables": [], "verdicts": [], "metadata": {}, "extras": {}}
+        payload[key] = {"x": [1.0, {"y": math.nan}]}
+        with pytest.raises(DomainError, match=re.escape(f"document[{key!r}]['x'][1]['y'] must be finite, got nan")):
+            ReportDocument.from_payload(payload)
 
     def test_rejects_non_distribution_rows(self):
         with pytest.raises(DomainError):
