@@ -60,6 +60,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, "feasibility", "--scenario", "mz", "--q", "0.3")
         assert code == 0
 
+    def test_bad_lambda_size_is_usage_error(self, capsys):
+        code, _, _ = run(capsys, "feasibility", "--lambda-size", "9")
+        assert code == 1
+
+    def test_overlap_needs_room_for_a_middle_block(self, capsys):
+        code, _, err = run(capsys, "feasibility", "--lambda-size", "2", "--q", "0.5")
+        assert code == 1
+        assert "3 ontic states" in err
+
     @pytest.mark.parametrize(
         "argv, flags",
         [(["pbr-table"], ["-u"]), (["pbr-table"], []), (["--help"], ["-u"]), (["--help"], [])],
