@@ -14,17 +14,9 @@ actually reaches the detector.
 Whether such a model can reproduce given quantum statistics is a linear
 feasibility question in the response-function entries: nonnegativity,
 pointwise normalization, and one linear equality per (preparation, outcome).
-:func:`feasibility` takes five steps in a fixed order, and the first proof
-that holds decides: a direct witness, exact while no pair is reached by
-preparations that expect different statistics, so that only overlap can make
-it fail; PBR's zero-cell dual, when the compensation witness misses by no more
-than it proves, so that no LP could add anything; the witness of one elastic
-LP; that LP's dual certificate; and the zero-cell dual again.  A witness's
-total miss and a certificate's bound are each compared with ``EPS_LP``
-exactly: a float evaluation decides when it lies farther from ``EPS_LP`` than
-its proven rounding error, and only inside that error the exact ``Fraction``,
-which reads every float as the fraction it equals (:class:`_Estimate`).
-:class:`PbrCheckError` means that no proof holds.
+:func:`feasibility` answers it with a witness or a certificate, each checked
+exactly against ``EPS_LP`` without trusting the solver, or raises
+:class:`PbrCheckError` when no proof holds; its docstring lists its three steps.
 :func:`pbr_contradiction` is the independent analytic shortcut for the
 four-preparation scenario with a zero-outcome pairing that covers every
 outcome.
@@ -142,7 +134,8 @@ def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, ze
     ``zero_pairing`` forces that outcome's response to vanish there.  When the
     pairing covers the four outcomes, the response rows on Delta x Delta
     cannot sum to 1, which is the contradiction.  Returns True iff q > 0 and
-    the pairing covers the four outcomes.
+    the pairing covers the four outcomes.  Each cell's preparation and outcome
+    must be an integer in [0, 4).
 
     The size of the contradiction is proved: the dual ``y = J - 2I`` (-1 on
     the pairing cells, +1 elsewhere) shows that every response function
@@ -159,8 +152,10 @@ def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, ze
         not isinstance(cell, (list, tuple)) or len(cell) != 2 for cell in zero_pairing
     ):
         raise DomainError(f"zero_pairing must be a list of (preparation, outcome) pairs, got {zero_pairing!r}")
-    killed = {as_int(k, "zero_pairing outcome") for _, k in zero_pairing}
-    return overlap(mu0, mu1).q > 0.0 and killed >= set(range(4))
+    cells = [
+        (as_int(p, "zero_pairing preparation", 0, 4), as_int(k, "zero_pairing outcome", 0, 4)) for p, k in zero_pairing
+    ]
+    return overlap(mu0, mu1).q > 0.0 and {k for _, k in cells} >= set(range(4))
 
 
 @dataclass(frozen=True)
@@ -382,22 +377,6 @@ def _feasible(n: int, reached, rows, misses) -> FeasibilityVerdict:
     return FeasibilityVerdict(True, witness=ResponseFunction(table.reshape(n, n, -1)), max_residual=worst)
 
 
-def _infeasible(y, bound: float, missed: str) -> FeasibilityVerdict:
-    """Infeasible verdict whose certificate ``y`` proves at least ``bound``; ``missed`` says what cannot be met."""
-    return FeasibilityVerdict(
-        False, violated_constraint=f"cannot satisfy: {missed}", certificate=y, violation_bound=bound
-    )
-
-
-def _missed_most(targs, misses, total, bound: float) -> str:
-    """What an infeasible verdict cannot meet: the row ``misses`` misses most, the ``total`` and the proved ``bound``."""
-    prep, out = np.unravel_index(np.argmax(misses), misses.shape)
-    return (
-        f"preparation {prep}: outcome {out + 1} probability must equal {targs[prep, out]:.12g} "
-        f"(off by {misses[prep, out]:.3e}; minimal total violation {total:.3e}, certified at least {bound:.3e})"
-    )
-
-
 def _compensation_rows(flats, targs) -> np.ndarray:
     """Rows of the compensation witness, the primal partner of the zero-cell dual, one per reached pair.
 
@@ -427,9 +406,9 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
     Looks for ``xi(k | l1, l2) >= 0`` with pointwise sum 1 such that, for every
     preparation ``p`` and outcome ``k``,
     ``sum_pairs joint_p(l1, l2) * xi(k | l1, l2) = target_p(k)``.  The minimal
-    total violation of the statistics equalities over all response functions
-    decides, and ``EPS_LP`` bounds it for both verdicts.  Five steps are
-    taken in this order, and the first proof that holds decides:
+    total violation V* of the statistics equalities over all response
+    functions decides, and ``EPS_LP`` bounds it for both verdicts.  Three
+    steps are taken in this order, and the first proof that holds decides:
 
     1. The direct witness: each reached pair answers with the target row of
        the first preparation that reaches it, which is exact when all
@@ -438,29 +417,28 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
        ``EPS_LP``: the float sum decides unless it lies within its proven
        error of ``EPS_LP``, and then the exact miss does (:func:`_witness`).
        ``max_residual`` is its largest residual over every constraint.
-    2. PBR's zero-cell dual, -1 on target cells at or below ``EPS_ZERO`` and
-       +1 elsewhere (see :func:`pbr_contradiction`), proves a bound on every
-       response function's total violation.  Whether that bound exceeds
-       ``EPS_LP`` is decided as for a witness: by its float value, off it by
-       at most a stated error, and by the exact ``Fraction`` when the float
-       lies within that error (:func:`_certified_bound`).  When it does and
-       the compensation witness (:func:`_compensation_rows`) misses by at
-       most the bound plus ``EPS_LP``, the two pin the minimal violation, and
-       the verdict is infeasible with no LP solved.  That witness proves
-       nothing itself: it only decides whether the LP can add anything.
-    3. The LP witness: one elastic LP, ``min 1.(s+ + s-)`` subject to the
-       normalizations and ``A_stat x + s+ - s- = b_stat`` with ``x, s >= 0``
-       (see :func:`_assemble_equalities`).  ``x`` holds one response row per
-       reached pair, and those rows are the witness.
-    4. The LP certificate: the statistics duals prove that every response
-       function misses them by more than ``EPS_LP`` in total, decided as in
-       step 2.  ``violation_bound`` is the float value less its error, rounded
-       down, so it never exceeds the exact bound; ``violated_constraint``
-       names the row the optimal ``x`` misses most.
-    5. The zero-cell dual's bound of step 2, computed once, decides when it
-       exceeds ``EPS_LP`` and the solver failed or its certificate fell
-       short; ``violated_constraint`` then states only the proved bound,
-       since no row is known to be missed most.
+    2. The LP witness, from one elastic LP, ``min 1.(s+ + s-)`` subject to
+       the normalizations and ``A_stat x + s+ - s- = b_stat`` with
+       ``x, s >= 0`` (see :func:`_assemble_equalities`): ``x`` holds one
+       response row per reached pair, and those rows are checked as in
+       step 1.  No LP is solved when PBR's zero-cell dual, -1 on target
+       cells at or below ``EPS_ZERO`` and +1 elsewhere (see
+       :func:`pbr_contradiction`), proves more than ``EPS_LP`` and the
+       compensation witness (:func:`_compensation_rows`) misses by at most
+       that bound plus ``EPS_LP``: the two pin V*, so no LP could add
+       anything.  That witness proves nothing itself.
+    3. The certificates, the LP's statistics duals first and then the
+       zero-cell dual: the first that proves every response function misses
+       the statistics by more than ``EPS_LP`` in total decides.  Its bound
+       is decided as for a witness, by its float value, off it by at most a
+       stated error, and by the exact ``Fraction`` when the float lies within
+       that error (:func:`_certified_bound`).  ``violation_bound`` is the
+       float less its error, rounded down, so it never exceeds the exact
+       bound.  ``violated_constraint`` states the interval in which V* lies:
+       from that bound to the total miss of the LP witness when the LP was
+       solved, and of the compensation witness otherwise.  When the
+       zero-cell dual decides after an LP, what the LP failed to prove
+       follows.
 
     When no proof holds, :class:`PbrCheckError` names what failed (the
     solver, or the LP witness's miss and its certificate's bound) and what
@@ -478,37 +456,37 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
         return _feasible(n, reached, rows, misses)
     zero_y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
     zero = _certified_bound(flats, targs, zero_y)
-    zero_proved = zero.exceeds_eps_lp()
-    if zero_proved:
-        misses, lower = _witness(flats, targs, _compensation_rows(flats, targs))[1], zero.floor()
-        if misses.sum() <= lower + EPS_LP:
-            return _infeasible(zero_y, lower, _missed_most(targs, misses, misses.sum(), lower))
-    pairs = reached.size
-    a_eq, b_eq = _assemble_equalities(flats, targs)
-    # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
-    # resolve violations far below EPS_LP.
-    cost = np.concatenate([np.zeros(k * pairs), np.full(2 * targs.size, 1.0 / EPS_LP)])
-    from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
+    certificates, shortfalls = [(zero_y, zero, "the zero-cell dual")], []
+    # The total miss of the best witness computed bounds V* from above; within
+    # EPS_LP of the zero-cell bound below it, it pins V* and no LP is solved.
+    upper =_witness(flats, targs, _compensation_rows(flats, targs))[1].sum() if zero.exceeds_eps_lp() else math.inf
+    if upper > zero.floor() + EPS_LP:
+        pairs = reached.size
+        a_eq, b_eq = _assemble_equalities(flats, targs)
+        # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
+        # resolve violations far below EPS_LP.
+        cost = np.concatenate([np.zeros(k * pairs), np.full(2 * targs.size, 1.0 / EPS_LP)])
+        from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
 
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-    failure = f"LP solver failed: {res.message}"
-    if res.status == 0:
-        rows, misses = _witness(flats, targs, np.maximum(res.x[: k * pairs].reshape(k, pairs).T, 0.0))
-        if rows is not None:
-            return _feasible(n, reached, rows, misses)
-        y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
-        bound = _certified_bound(flats, targs, y)
+        res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        if res.status != 0:
+            shortfalls.append(f"LP solver failed: {res.message}")
+        else:
+            rows, misses = _witness(flats, targs, np.maximum(res.x[: k * pairs].reshape(k, pairs).T, 0.0))
+            if rows is not None:
+                return _feasible(n, reached, rows, misses)
+            upper = misses.sum()
+            y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
+            lp = f"the LP witness misses by {upper:.3e} in total, its certificate"
+            certificates.insert(0, (y, _certified_bound(flats, targs, y), lp))
+    for y, bound, prover in certificates:
         if bound.exceeds_eps_lp():
             lower = bound.floor()
-            return _infeasible(y, lower, _missed_most(targs, misses, res.fun * EPS_LP, lower))
-        proved = float(bound.exact())
-        failure = f"the LP witness misses by {misses.sum():.3e} in total, its certificate proves only {proved:.3e}"
-    if zero_proved:
-        lower = zero.floor()
-        missed = f"every response function misses the statistics by at least {lower:.3e} in total"
-        return _infeasible(zero_y, lower, f"{missed} (zero-cell dual; {failure})")
-    proved = float(zero.exact())
-    raise PbrCheckError(f"neither verdict is proved: {failure}; the zero-cell dual proves only {proved:.3e}")
+            interval = f"cannot satisfy: the minimal total violation lies in [{lower:.3e}, {upper:.3e}]"
+            missed = "; ".join([interval, *shortfalls])
+            return FeasibilityVerdict(False, violated_constraint=missed, certificate=y, violation_bound=lower)
+        shortfalls.append(f"{prover} proves only {float(bound.exact()):.3e}")
+    raise PbrCheckError(f"neither verdict is proved: {'; '.join(shortfalls)}")
 
 
 def _block_seed(root: np.random.SeedSequence, block: int) -> np.random.SeedSequence:

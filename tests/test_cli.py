@@ -301,11 +301,12 @@ class TestFeasibilityCommand:
 
 
 def test_text_document_states_the_scenario_once(capsys):
-    """Each run parameter once, and the zero-cell dual's 2 q**2 = 0.18 once, read as its float less a proven error."""
+    """Each run parameter once, and V* = 2 q**2 = 0.18 once, as the interval that the zero-cell dual (its float
+    less a proven error) and the compensation witness pin."""
     code, out, _ = run(capsys, "feasibility", "--q", "0.3")
     assert code == 3
     assert [line for line in out.splitlines() if line.startswith("scenario:")] == ["scenario: feasibility-pbr"]
-    assert out.count("certified at least 1.800e-01") == 1
+    assert out.count("[1.800e-01, 1.800e-01]") == 1
 
 
 @pytest.mark.parametrize(

@@ -403,6 +403,12 @@ LP_PAIR = (
 )
 
 
+def violation_interval(verdict):
+    """The two ends of the interval in which an infeasible verdict states that V* lies, as printed."""
+    interval = r"cannot satisfy: the minimal total violation lies in \[(\S+), (\S+)\](; .*)?"
+    return re.fullmatch(interval, verdict.violated_constraint).group(1, 2)
+
+
 def zero_cell_dual(targets):
     """PBR's zero-cell dual: -1 on target cells at or below EPS_ZERO, +1 elsewhere."""
     return np.where(np.ravel(targets) <= EPS_ZERO, -1.0, 1.0)
@@ -445,7 +451,7 @@ class TestLpCalls:
     @pytest.mark.parametrize("q", [1e-3, 0.3, 1.0])
     def test_overlap_pairs_outside_the_band_are_pinned_without_an_lp(self, n, q):
         """The zero-cell dual proves V* >= 2 q**2 and the compensation witness misses by no more,
-        so the verdict carries the dual and states the same total twice."""
+        so the verdict carries the dual and states V* as the interval [2 q**2, 2 q**2]."""
         preparations, targets = pbr_instance(*overlap_pair(OnticSpace(n), q))
         with counted_linprog() as calls:
             verdict = feasibility(preparations, targets)
@@ -453,8 +459,7 @@ class TestLpCalls:
         np.testing.assert_array_equal(verdict.certificate, zero_cell_dual(targets))
         exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
         assert float(exact) == pytest.approx(2 * q**2)
-        totals = re.search(r"minimal total violation (\S+), certified at least (\S+)\)", verdict.violated_constraint)
-        assert totals[1] == totals[2] == f"{2 * q**2:.3e}"
+        assert violation_interval(verdict) == (f"{2 * q**2:.3e}",) * 2
 
     @pytest.mark.parametrize(
         "instance, pairs",
@@ -617,7 +622,41 @@ def test_an_lp_certificate_that_falls_short_leaves_the_verdict_to_the_zero_cell_
     np.testing.assert_array_equal(verdict.certificate, zero_cell_dual(targets))
     exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
     assert exact > EPS_LP and float(exact) == pytest.approx(0.14014839144808652)
-    assert "(zero-cell dual; the LP witness misses by " in verdict.violated_constraint
+    assert violation_interval(verdict) == ("1.401e-01", "1.591e-01")
+    assert verdict.violated_constraint.endswith(
+        "; the LP witness misses by 1.591e-01 in total, its certificate proves only 0.000e+00"
+    )
+
+
+#: Random PBR pair 10 of ``default_rng(12345)`` (n = 5, Dirichlet alpha = 0.4, mu0 drawn first), on which HiGHS's
+#: methods return different optimal duals and LP witnesses, whose largest misses lie in different rows.
+METHOD_PAIR = (
+    np.array([0.00520920360531786, 0.07424914509180115, 0.18383073120164875, 0.06956755989437904, 0.6671433602068533]),
+    np.array(
+        [0.9678462363667059, 0.007557381744395446, 0.0020169250424539494, 0.00012223625834755379, 0.022457220588097248]
+    ),
+)
+
+
+@pytest.mark.parametrize("masses", [LP_PAIR, METHOD_PAIR], ids=["lp-pair", "random-pair-10"])
+def test_an_infeasible_message_does_not_depend_on_the_solver_method(masses, monkeypatch):
+    """The verdict states only what the instance fixes, so each of HiGHS's methods gives the same text."""
+    import scipy.optimize
+
+    solve, methods, used = scipy.optimize.linprog, ("highs", "highs-ds", "highs-ipm"), []
+    preparations, targets = scenario_instance(*masses, pbr=True)
+    answers = set()
+    for method in methods:
+
+        def forced(*args, chosen=method, **kwargs):
+            used.append(chosen)
+            return solve(*args, **{**kwargs, "method": chosen})
+
+        monkeypatch.setattr(scipy.optimize, "linprog", forced)
+        verdict = feasibility(preparations, targets)
+        answers.add((verdict.status, verdict.violated_constraint))
+    assert used == list(methods)
+    assert len(answers) == 1, answers
 
 
 @pytest.mark.xfail(strict=True, raises=PbrCheckError, reason="HiGHS's rows exceed 1 within its primal tolerance")
@@ -730,6 +769,8 @@ def test_every_instance_gets_a_checked_verdict(instance):
     else:
         exact = oracles.certified_violation_bound(preparations, targets, verdict.certificate)
         assert exact > EPS_LP and verdict.violation_bound <= float(exact)
+        lower, upper = violation_interval(verdict)
+        assert lower == f"{verdict.violation_bound:.3e}" and float(upper) >= float(lower)
 
 
 @settings(deadline=None, max_examples=100)
@@ -1009,6 +1050,19 @@ REJECTIONS = [
             f"zero_pairing must be a list of (preparation, outcome) pairs, got {pairing!r}",
         )
         for pairing in ([(1,)], [(0, 0, 9)], 5, None)
+    ),
+    *(
+        (
+            f"zero pairing preparation {prep!r}",
+            lambda prep=prep: pbr_contradiction(*overlap_pair(OnticSpace(4), 0.3), [(prep, k) for k in range(4)]),
+            f"zero_pairing preparation must be an integer in [0, 4), got {prep!r}",
+        )
+        for prep in ("x", None, 9)
+    ),
+    (
+        "zero pairing outcome 7",
+        lambda: pbr_contradiction(*overlap_pair(OnticSpace(4), 0.3), [*ZERO_PAIRING, (0, 7)]),
+        "zero_pairing outcome must be an integer in [0, 4), got 7",
     ),
     (
         "zero threshold at 0",
