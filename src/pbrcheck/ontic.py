@@ -65,7 +65,7 @@ def _require_same_space(a: "EpistemicDistribution", b: "EpistemicDistribution") 
     return a.space
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpistemicDistribution:
     """Probability mass over an ontic space, as induced by a preparation."""
 
@@ -158,7 +158,7 @@ def pbr_contradiction(mu0: EpistemicDistribution, mu1: EpistemicDistribution, ze
     return overlap(mu0, mu1).q > 0.0 and {k for _, k in cells} >= set(range(4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseFunction:
     """Outcome distribution of the detector conditioned on the physical pair.
 
@@ -217,7 +217,7 @@ def state_assignment_response(assignment, outcome_rows) -> ResponseFunction:
     return ResponseFunction(table.reshape(n, n, rows.shape[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityVerdict:
     """Outcome of the linear feasibility question, with evidence either way."""
 

@@ -158,14 +158,13 @@ def normalize(v) -> np.ndarray:
     return v / np.sqrt(norm_sq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """Ordered candidate measurement basis; ``outcomes`` rows are outcome kets.
+    """Ordered measurement basis; ``outcomes`` rows are outcome kets.
 
-    Construction enforces structure only (a complete basis has as many
-    outcomes as dimensions, all finite).  Orthonormality is checked by
-    :func:`is_orthonormal_basis`, kept separate so that defective candidate
-    sets can be represented and rejected at the point of use.
+    Construction refuses what is no basis: the outcomes must be as many as
+    the dimensions, finite, and orthonormal within ``EPS_NORM``
+    (:func:`is_orthonormal_basis`).  Bases compare by identity.
     """
 
     outcomes: np.ndarray
@@ -176,6 +175,8 @@ class MeasurementBasis:
             raise DomainError(f"a complete basis needs dim outcome vectors of length dim, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("basis amplitudes must be finite")
+        if not is_orthonormal_basis(m):
+            raise DomainError("measurement basis is not orthonormal within EPS_NORM")
         m.setflags(write=False)
         object.__setattr__(self, "outcomes", m)
 
@@ -205,8 +206,8 @@ def is_orthonormal_basis(basis) -> bool:
 def born_distribution(state, basis) -> np.ndarray:
     """Born-rule outcome probabilities ``|<outcome_k|state>|^2``.
 
-    ``state`` must be unit-norm and ``basis`` a valid (complete, orthonormal)
-    measurement basis of matching dimension.  The returned float array is
+    ``state`` must be unit-norm and ``basis`` a :class:`MeasurementBasis`, or
+    the outcome kets of one, of matching dimension.  The returned float array is
     unclipped; display layers decide what counts as an exact zero.
     """
     v = as_state(state)
@@ -214,8 +215,6 @@ def born_distribution(state, basis) -> np.ndarray:
         basis = MeasurementBasis(basis)
     if basis.dim != v.size:
         raise DomainError(f"state dim {v.size} does not match basis dim {basis.dim}")
-    if not is_orthonormal_basis(basis):
-        raise DomainError("measurement basis is not orthonormal within EPS_NORM")
     if not is_normalized(v):
         raise DomainError("state must be unit-norm")
     amplitudes = basis.outcomes.conj() @ v

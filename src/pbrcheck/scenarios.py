@@ -9,7 +9,8 @@ preparation) each emits ``normalize(|0> + |+>)`` instead, and every outcome
 becomes possible.
 
 :class:`Scenario` is the one description of a scenario (labels, device wiring,
-target rows, zero pairing); :func:`pbr_scenario` and :func:`mz_scenario` build it.
+target rows, zero pairing); one builder makes it from the device kets for
+:func:`pbr_scenario`, :func:`mz_scenario` and :func:`theta_table`.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _labels(labels, what: str) -> tuple[str, ...]:
     return tuple(labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Preparation-vs-outcome probability matrix with zero flags.
 
@@ -188,34 +189,22 @@ class ProbabilityTable:
         return table
 
 
-def table_for_states(
-    states,
-    row_labels,
-    zero_threshold: float = EPS_PROB,
-    title: str = "",
-) -> ProbabilityTable:
-    """Born table of the given states against the xi basis."""
-    basis = xi_basis()
-    rows = np.array([born_distribution(s, basis) for s in states])
-    return ProbabilityTable(tuple(row_labels), XI_LABELS, rows, zero_threshold, title)
-
-
 def zero_outcome_table(zero_threshold: float = EPS_PROB) -> ProbabilityTable:
     """4x4 Born table of the product preparations against the xi basis.
 
     Its zero flags are expected to form exactly the pattern in
     :data:`ZERO_PAIRING` (the diagonal).
     """
-    states = [product_preparation(p) for p in PREPARATIONS]
-    return table_for_states(states, _PBR_LABELS, zero_threshold=zero_threshold, title="product preparations vs xi basis")
+    title = "product preparations vs xi basis"
+    return ProbabilityTable(_PBR_LABELS, XI_LABELS, pbr_target_rows(), zero_threshold, title)
 
 
 def pbr_target_rows() -> np.ndarray:
-    """The four Born rows of :func:`zero_outcome_table`, as a (4, 4) float array."""
-    return np.array(zero_outcome_table().probabilities)
+    """The four xi-basis Born rows of the product preparations, as a (4, 4) float array."""
+    return pbr_scenario().targets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """The preparations of one scenario and the Born statistics they should give.
 
@@ -239,19 +228,33 @@ class Scenario:
         return ProbabilityTable(self.labels, XI_LABELS, probabilities, zero_threshold, title)
 
 
+def _products(kets, labels, zero_pairing=()) -> Scenario:
+    """The scenario whose preparation ``(i, j)``, row-major, is ``kets[i] (x) kets[j]``, with its xi-basis Born row."""
+    basis = xi_basis()
+    devices = tuple((i, j) for i in range(len(kets)) for j in range(len(kets)))
+    targets = np.array([born_distribution(tensor(kets[i], kets[j]), basis) for i, j in devices])
+    return Scenario(tuple(labels), devices, targets, zero_pairing)
+
+
 def pbr_scenario() -> Scenario:
     """The announced product preparations; a device showing ``0`` uses distribution 0, ``+`` uses 1."""
-    devices = tuple(tuple("0+".index(ch) for ch in p) for p in PREPARATIONS)
-    return Scenario(_PBR_LABELS, devices, pbr_target_rows(), ZERO_PAIRING)
+    return _products([ket("0"), ket("+")], _PBR_LABELS, ZERO_PAIRING)
 
 
 @dataclass(frozen=True)
 class ThetaPair:
-    """The symmetric pair cos(t/2)|0> +/- sin(t/2)|1> used to tune overlap."""
+    """The symmetric pair cos(t/2)|0> +/- sin(t/2)|1> that tunes overlap, derived from and compared by ``theta``."""
 
     theta: float
-    psi0: np.ndarray = field(repr=False)
-    psi1: np.ndarray = field(repr=False)
+    psi0: np.ndarray = field(init=False, repr=False, compare=False)
+    psi1: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        theta = as_real(self.theta, "theta", 0, math.pi, closed=False)
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "psi0", np.array([c, s], dtype=np.complex128))
+        object.__setattr__(self, "psi1", np.array([c, -s], dtype=np.complex128))
 
     @property
     def overlap(self) -> float:
@@ -260,31 +263,20 @@ class ThetaPair:
 
 
 def theta_pair(theta: float) -> ThetaPair:
-    """Construct the pair for ``0 < theta < pi`` (both states unit-norm)."""
-    theta = as_real(theta, "theta", 0, math.pi, closed=False)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    psi0 = np.array([c, s], dtype=np.complex128)
-    psi1 = np.array([c, -s], dtype=np.complex128)
-    return ThetaPair(theta, psi0, psi1)
+    """The pair for ``0 < theta < pi``: ``ThetaPair(theta)``."""
+    return ThetaPair(theta)
 
 
-def theta_table(
-    pair: ThetaPair,
-    zero_threshold: float = EPS_PROB,
-) -> ProbabilityTable:
+def theta_table(pair: ThetaPair, zero_threshold: float = EPS_PROB) -> ProbabilityTable:
     """Born table of the four ordered products psi_i (x) psi_j against the xi basis.
 
     No zero pattern is asserted here; the products are measured in the xi
     basis, the one measurement of both scenarios.
     """
-    states, labels = [], []
-    as_instance(pair, ThetaPair, "pair")
-    for i, a in ((0, pair.psi0), (1, pair.psi1)):
-        for j, b in ((0, pair.psi0), (1, pair.psi1)):
-            states.append(tensor(a, b))
-            labels.append(f"psi{i}*psi{j}")
+    pair = as_instance(pair, ThetaPair, "pair")
+    setup = _products([pair.psi0, pair.psi1], [f"psi{i}*psi{j}" for i in range(2) for j in range(2)])
     title = f"theta-pair products vs measurement basis (theta={pair.theta:.12g})"
-    return table_for_states(states, labels, zero_threshold=zero_threshold, title=title)
+    return setup.table(setup.targets, zero_threshold, title)
 
 
 def mz_preparation_state() -> np.ndarray:
@@ -309,4 +301,4 @@ def mz_joint_state() -> np.ndarray:
 
 def mz_scenario() -> Scenario:
     """The unannounced which-way-free preparation: both devices draw from one distribution."""
-    return Scenario(("Psi",), ((0, 0),), np.array([born_distribution(mz_joint_state(), xi_basis())]))
+    return _products([mz_preparation_state()], ("Psi",))

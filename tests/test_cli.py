@@ -24,7 +24,7 @@ from pbrcheck import (
     state_assignment_response,
     uniform,
 )
-from pbrcheck import quantum, scenarios
+from pbrcheck import ontic, quantum, scenarios
 from pbrcheck.cli import main
 from pbrcheck.report import ReportDocument
 from pbrcheck.scenarios import mz_scenario
@@ -524,6 +524,47 @@ def test_entrypoint_flushes_what_main_leaves_pending(stream, argv, code):
     )
     assert proc.returncode == code
     assert getattr(proc, stream) == "pending"
+
+
+def test_the_traced_entry_points_are_reached(capsys, monkeypatch):
+    """Each entry point the benchmark's tracer wraps by name is called by the commands a traced session runs.
+
+    As the tracer does, each function is replaced on every binding in the loaded pbrcheck modules, so a
+    call that goes round the module binding counts nothing.  scipy's ``linprog`` is held by
+    ``test_only_lp_commands_import_scipy``."""
+    counts = {}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in list(sys.modules.items()) if name == "pbrcheck" or name.startswith("pbrcheck.")]
+    entry_points = [
+        (ontic, "feasibility"),
+        (ontic, "monte_carlo"),
+        (scenarios, "zero_outcome_table"),
+        (scenarios, "pbr_target_rows"),
+        (quantum, "born_distribution"),
+    ]
+    for module, attr in entry_points:
+        func, name = getattr(module, attr), f"{module.__name__}.{attr}"
+        counts[name], traced = 0, counted(name, func)
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is func:
+                    monkeypatch.setattr(m, key, traced)
+    counts["ReportDocument.render"] = 0
+    monkeypatch.setattr(ReportDocument, "render", counted("ReportDocument.render", ReportDocument.render))
+    for argv in (
+        ["pbr-table"], ["mz"], ["theta", "--theta", "1.0"], ["feasibility", "--q", "0.3"],
+        ["feasibility", "--scenario", "mz", "--q", "0.5"], ["montecarlo", "--samples", "1000"],
+    ):
+        main(argv)
+    capsys.readouterr()
+    assert [name for name, count in counts.items() if count == 0] == [], counts
 
 
 def test_only_lp_commands_import_scipy():

@@ -23,6 +23,7 @@ from pbrcheck import (
     PbrCheckError,
     ProbabilityTable,
     ResponseFunction,
+    ThetaPair,
     ZERO_PAIRING,
     born_distribution,
     constant_response,
@@ -568,6 +569,14 @@ class TestWitnessTable:
         assert Fraction(verdict.max_residual) == oracles.witness_max_residual(preparations, targets, table)
         assert verdict.max_residual == 2.0**-53
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: max_residual reads float row sums")
+    def test_max_residual_counts_a_row_sum_that_rounds_to_one(self):
+        """The target row sums to 1 + 2**-53, which rounds to 1.0 in float, so no renormalization shows its residual."""
+        preparations, targets = [np.array([[1.0]])], [np.array([0.5, 0.5 + 2**-53])]
+        verdict = feasibility(preparations, targets)
+        exact = oracles.witness_max_residual(preparations, targets, verdict.witness.table)
+        assert Fraction(verdict.max_residual) == exact
+
 
 @pytest.mark.parametrize(
     "m0, m1, bound",
@@ -1101,6 +1110,8 @@ REJECTIONS = [
         "response must be a ResponseFunction, got [[[1.0]]]",
     ),
     ("theta table of a float", lambda: theta_table(0.5), "pair must be a ThetaPair, got 0.5"),
+    ("theta pair of None", lambda: ThetaPair(None), "theta must be a real number in (0, "),
+    ("basis of |0> and |+>", lambda: MeasurementBasis(np.array([ket("0"), ket("+")])), "not orthonormal"),
     ("ket label a list", lambda: ket(["0"]), "unknown ket label ['0']"),
     ("preparation label None", lambda: product_preparation(None), "preparation label must be two characters"),
     (
@@ -1132,6 +1143,31 @@ def test_library_rejections_are_pbrcheck_errors(reject, message):
     with pytest.raises(DomainError, match=re.escape(message)) as refused:
         reject()
     assert "np.float64" not in str(refused.value)
+
+
+# --- value types that hold an array compare by identity ---
+
+#: (type, a builder called twice, for an instance and its twin)
+VALUE_TYPES = [
+    ("EpistemicDistribution", lambda: uniform(OnticSpace(3))),
+    ("ResponseFunction", lambda: constant_response(2, [0.5, 0.5])),
+    ("FeasibilityVerdict", lambda: feasibility([np.array([[1.0]])], [np.array([0.5, 0.5])])),
+    ("MeasurementBasis", xi_basis),
+    ("ProbabilityTable", zero_outcome_table),
+    ("Scenario", pbr_scenario),
+    ("ThetaPair", lambda: ThetaPair(1.0)),
+]
+
+
+@pytest.mark.parametrize("build", [v[1] for v in VALUE_TYPES], ids=[v[0] for v in VALUE_TYPES])
+def test_value_types_compare_and_hash_without_raising(build):
+    """An instance equals itself and hashes; its twin is another object, unless it is a ThetaPair, which is its theta."""
+    a, twin = build(), build()
+    same_value = isinstance(a, ThetaPair)
+    assert a == a
+    assert (a == twin) is same_value
+    hash(a)
+    assert (a in [twin]) is same_value
 
 
 # --- every scalar parameter is read by one rule ---

@@ -26,7 +26,7 @@ from pbrcheck import (
 )
 
 from pbrcheck.report import ReportDocument
-from pbrcheck.scenarios import mz_scenario, pbr_scenario, table_for_states
+from pbrcheck.scenarios import mz_scenario, pbr_scenario
 
 import oracles
 
@@ -227,19 +227,24 @@ class TestScenario:
 
 
 class TestCompatibility:
+    @staticmethod
+    def table(state) -> ProbabilityTable:
+        """The one-row xi-basis table of ``state``."""
+        return ProbabilityTable(("Psi",), XI_LABELS, [born_distribution(state, xi_basis())])
+
     def test_mz_joint_is_compatible(self):
-        report = table_for_states([mz_joint_state()], ("Psi",))
+        report = self.table(mz_joint_state())
         assert report.compatible
         assert not report.zero_flags.any()
 
     def test_announced_product_state_is_not(self):
-        report = table_for_states([product_preparation("00")], ("Psi",))
+        report = self.table(product_preparation("00"))
         assert not report.compatible
         np.testing.assert_array_equal(report.zero_flags, [[True, False, False, False]])
 
     def test_basis_eigenstate_row(self):
         xi2 = xi_basis().outcomes[1]
-        report = table_for_states([xi2], ("Psi",))
+        report = self.table(xi2)
         np.testing.assert_allclose(report.probabilities, [[0, 1, 0, 0]], atol=1e-12)
         assert not report.compatible
 
