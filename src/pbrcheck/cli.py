@@ -18,6 +18,7 @@ import math
 import os
 import statistics
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,8 +42,10 @@ from .ontic import feasibility as solve_feasibility
 from .quantum import EPS_NORM, EPS_PROB, EPS_ZERO, as_int, as_real
 from .report import ReportDocument, verdict_summary
 from .scenarios import (
+    XI_LABELS,
     ZERO_PAIRING,
-    Scenario,
+    ProbabilityTable,
+    device_pairs,
     mz_joint_state,
     mz_normalization_sq,
     mz_preparation_state,
@@ -139,8 +142,7 @@ def mz_cmd(args) -> int:
 
     Exits 0 iff all four outcome probabilities exceed the zero-flag threshold.
     """
-    setup = mz_scenario()
-    table = setup.table(setup.targets, args.tolerance, "Psi vs measurement basis")
+    table = replace(mz_scenario(), zero_threshold=args.tolerance, title="Psi vs measurement basis")
     psi = mz_preparation_state()
     joint_state = mz_joint_state()
     doc = ReportDocument(
@@ -183,20 +185,20 @@ def feasibility_cmd(args) -> int:
         setup, devices = pbr_scenario(), (mu0, mu1)
     else:
         setup, devices = mz_scenario(), (mixture(mu0, mu1),)
-    verdict = solve_feasibility([joint(a, b) for a, b in setup.device_pairs(*devices)], setup.targets)
+    verdict = solve_feasibility([joint(a, b) for a, b in device_pairs(*devices)], setup.probabilities)
     extras = {
         "q_measured": overlap(mu0, mu1).q,
-        "preparations": list(setup.labels),
+        "preparations": list(setup.row_labels),
         "mu0": mu0.mass.tolist(),
         "mu1": mu1.mass.tolist(),
     }
-    if setup.zero_pairing:
-        predicted = pbr_contradiction(mu0, mu1, setup.zero_pairing)
+    if scenario == "pbr":
+        predicted = pbr_contradiction(mu0, mu1, ZERO_PAIRING)
         extras["contradiction_predicted"] = predicted
         extras["agreement"] = verdict.feasible != predicted
     doc = ReportDocument(
         scenario=f"feasibility-{scenario}",
-        tables=[setup.table(setup.targets, args.tolerance, "target statistics")],
+        tables=[replace(setup, zero_threshold=args.tolerance, title="target statistics")],
         verdicts=[verdict_summary("epistemic-model-lp", verdict)],
         metadata=_metadata(args, seed=args.seed, scenario=scenario, lambda_size=lambda_size, q=q),
         extras=extras,
@@ -216,18 +218,18 @@ def montecarlo_cmd(args) -> int:
     if model == "psi-ontic":
         setup = pbr_scenario()
         space = OnticSpace(2)
-        device_pairs = setup.device_pairs(point_mass(space, 0), point_mass(space, 1))
-        response = state_assignment_response((0, 1), setup.targets)
+        devices = (point_mass(space, 0), point_mass(space, 1))
+        response = state_assignment_response((0, 1), setup.probabilities)
     else:
-        setup = Scenario(("Psi",), ((0, 0),), np.array([[0.25] * 4]))  # mz wiring; no Born row computed
+        setup = ProbabilityTable(("Psi",), XI_LABELS, [[0.25] * 4])  # a constant model, not MZ's Born row
         space = OnticSpace(3)
-        device_pairs = setup.device_pairs(uniform(space))
-        response = constant_response(space.size, setup.targets[0])
-    targets = setup.targets
+        devices = (uniform(space),)
+        response = constant_response(space.size, setup.probabilities[0])
+    targets = setup.probabilities
     empirical = np.array(
         [
             monte_carlo(mu_a, mu_b, response, samples, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            for i, (mu_a, mu_b) in enumerate(device_pairs)
+            for i, (mu_a, mu_b) in enumerate(device_pairs(*devices))
         ]
     )
     cells = int(np.count_nonzero((targets > EPS_ZERO) & (targets < 1.0 - EPS_ZERO)))
@@ -239,8 +241,8 @@ def montecarlo_cmd(args) -> int:
     doc = ReportDocument(
         scenario=f"montecarlo-{model}",
         tables=[
-            setup.table(empirical, tol, "empirical frequencies"),
-            setup.table(targets, tol, "target distributions"),
+            replace(setup, probabilities=empirical, zero_threshold=tol, title="empirical frequencies"),
+            replace(setup, zero_threshold=tol, title="target distributions"),
         ],
         metadata=_metadata(args, seed=seed, samples=samples, model=model),
         extras={

@@ -377,6 +377,13 @@ def _feasible(n: int, reached, rows, misses) -> FeasibilityVerdict:
     return FeasibilityVerdict(True, witness=ResponseFunction(table.reshape(n, n, -1)), max_residual=worst)
 
 
+def _infeasible(y, lower: float, upper: float, shortfalls) -> FeasibilityVerdict:
+    """Infeasible verdict proved by ``y``: V* lies in ``[lower, upper]``, and what failed to prove follows."""
+    interval = f"cannot satisfy: the minimal total violation lies in [{lower:.3e}, {upper:.3e}]"
+    missed = "; ".join([interval, *shortfalls])
+    return FeasibilityVerdict(False, violated_constraint=missed, certificate=y, violation_bound=lower)
+
+
 def _compensation_rows(flats, targs) -> np.ndarray:
     """Rows of the compensation witness, the primal partner of the zero-cell dual, one per reached pair.
 
@@ -440,9 +447,14 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
        zero-cell dual decides after an LP, what the LP failed to prove
        follows.
 
-    When no proof holds, :class:`PbrCheckError` names what failed (the
-    solver, or the LP witness's miss and its certificate's bound) and what
-    the zero-cell dual proved.  Near the threshold this decision and
+    When neither certificate proves, the same LP is solved once more by
+    HiGHS's interior-point method (``highs-ipm``), and its witness and then
+    its duals are checked as in steps 2 and 3.  On skewed instances whose V*
+    lies just above ``EPS_LP``, the duals of the default method prove about
+    half of V*, and those of the interior-point method prove V*.  When no
+    proof holds, :class:`PbrCheckError` names what failed (each solver, or
+    each LP witness's miss and its certificate's bound) and what the
+    zero-cell dual proved.  Near the threshold this decision and
     :func:`pbr_contradiction` can differ (see there).
     """
     flats, targs = _validate_instance(preparations, targets)
@@ -456,36 +468,36 @@ def feasibility(preparations, targets) -> FeasibilityVerdict:
         return _feasible(n, reached, rows, misses)
     zero_y = np.where(targs <= EPS_ZERO, -1.0, 1.0).ravel()
     zero = _certified_bound(flats, targs, zero_y)
-    certificates, shortfalls = [(zero_y, zero, "the zero-cell dual")], []
     # The total miss of the best witness computed bounds V* from above; within
     # EPS_LP of the zero-cell bound below it, it pins V* and no LP is solved.
     upper =_witness(flats, targs, _compensation_rows(flats, targs))[1].sum() if zero.exceeds_eps_lp() else math.inf
-    if upper > zero.floor() + EPS_LP:
-        pairs = reached.size
-        a_eq, b_eq = _assemble_equalities(flats, targs)
-        # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
-        # resolve violations far below EPS_LP.
-        cost = np.concatenate([np.zeros(k * pairs), np.full(2 * targs.size, 1.0 / EPS_LP)])
-        from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
+    if upper <= zero.floor() + EPS_LP:
+        return _infeasible(zero_y, zero.floor(), upper, [])
+    pairs = reached.size
+    a_eq, b_eq = _assemble_equalities(flats, targs)
+    # Slacks are priced at 1/EPS_LP, so HiGHS's absolute default tolerances
+    # resolve violations far below EPS_LP.
+    cost = np.concatenate([np.zeros(k * pairs), np.full(2 * targs.size, 1.0 / EPS_LP)])
+    from scipy.optimize import linprog  # imported here so that only LP verdicts pay for scipy
 
-        res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    certificates, shortfalls = [(zero_y, zero, "the zero-cell dual")], []
+    for method, name in (("highs", "LP"), ("highs-ipm", "interior-point LP")):
+        res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method=method)
         if res.status != 0:
-            shortfalls.append(f"LP solver failed: {res.message}")
+            shortfalls.append(f"{name} solver failed: {res.message}")
         else:
             rows, misses = _witness(flats, targs, np.maximum(res.x[: k * pairs].reshape(k, pairs).T, 0.0))
             if rows is not None:
                 return _feasible(n, reached, rows, misses)
             upper = misses.sum()
             y = np.clip(res.eqlin.marginals[pairs:] * EPS_LP, -1.0, 1.0)
-            lp = f"the LP witness misses by {upper:.3e} in total, its certificate"
+            lp = f"the {name} witness misses by {upper:.3e} in total, its certificate"
             certificates.insert(0, (y, _certified_bound(flats, targs, y), lp))
-    for y, bound, prover in certificates:
-        if bound.exceeds_eps_lp():
-            lower = bound.floor()
-            interval = f"cannot satisfy: the minimal total violation lies in [{lower:.3e}, {upper:.3e}]"
-            missed = "; ".join([interval, *shortfalls])
-            return FeasibilityVerdict(False, violated_constraint=missed, certificate=y, violation_bound=lower)
-        shortfalls.append(f"{prover} proves only {float(bound.exact()):.3e}")
+        for y, bound, prover in certificates:
+            if bound.exceeds_eps_lp():
+                return _infeasible(y, bound.floor(), upper, shortfalls)
+            shortfalls.append(f"{prover} proves only {float(bound.exact()):.3e}")
+        certificates = []
     raise PbrCheckError(f"neither verdict is proved: {'; '.join(shortfalls)}")
 
 

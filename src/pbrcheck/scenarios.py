@@ -8,15 +8,18 @@ the devices recombine both paths without announcing (a Mach-Zehnder style
 preparation) each emits ``normalize(|0> + |+>)`` instead, and every outcome
 becomes possible.
 
-:class:`Scenario` is the one description of a scenario (labels, device wiring,
-target rows, zero pairing); one builder makes it from the device kets for
-:func:`pbr_scenario`, :func:`mz_scenario` and :func:`theta_table`.
+A scenario is its Born :class:`ProbabilityTable`: one row per preparation
+``kets[i] (x) kets[j]``, row-major, against the xi outcomes.  One builder makes
+it from the device kets for :func:`pbr_scenario`, :func:`mz_scenario` and
+:func:`theta_table`, and :func:`device_pairs` wires the devices' distributions
+in the same row order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -201,44 +204,24 @@ def zero_outcome_table(zero_threshold: float = EPS_PROB) -> ProbabilityTable:
 
 def pbr_target_rows() -> np.ndarray:
     """The four xi-basis Born rows of the product preparations, as a (4, 4) float array."""
-    return pbr_scenario().targets
+    return pbr_scenario().probabilities
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """The preparations of one scenario and the Born statistics they should give.
-
-    The two devices of preparation ``labels[p]`` draw from the distributions
-    numbered ``devices[p]`` among those passed to :meth:`device_pairs`; its
-    xi-basis Born row is ``targets[p]``.  ``zero_pairing`` lists the
-    (preparation, outcome) cells of probability zero, if any.
-    """
-
-    labels: tuple[str, ...]
-    devices: tuple[tuple[int, int], ...]
-    targets: np.ndarray = field(repr=False)
-    zero_pairing: tuple[tuple[int, int], ...] = ()
-
-    def device_pairs(self, *distributions) -> list[tuple]:
-        """The (device 1, device 2) distributions of every preparation, in row order."""
-        return [(distributions[a], distributions[b]) for a, b in self.devices]
-
-    def table(self, probabilities, zero_threshold: float, title: str) -> ProbabilityTable:
-        """A table with one row per preparation of this scenario, against the xi outcomes."""
-        return ProbabilityTable(self.labels, XI_LABELS, probabilities, zero_threshold, title)
+def device_pairs(*distributions) -> list[tuple]:
+    """The (device 1, device 2) distributions of every preparation, in the row order of :func:`_products`."""
+    return list(itertools.product(distributions, repeat=2))
 
 
-def _products(kets, labels, zero_pairing=()) -> Scenario:
-    """The scenario whose preparation ``(i, j)``, row-major, is ``kets[i] (x) kets[j]``, with its xi-basis Born row."""
+def _products(kets, labels) -> ProbabilityTable:
+    """Born table of the products ``kets[i] (x) kets[j]``, row-major, against the xi basis."""
     basis = xi_basis()
-    devices = tuple((i, j) for i in range(len(kets)) for j in range(len(kets)))
-    targets = np.array([born_distribution(tensor(kets[i], kets[j]), basis) for i, j in devices])
-    return Scenario(tuple(labels), devices, targets, zero_pairing)
+    rows = [born_distribution(tensor(a, b), basis) for a, b in device_pairs(*kets)]
+    return ProbabilityTable(labels, XI_LABELS, rows)
 
 
-def pbr_scenario() -> Scenario:
+def pbr_scenario() -> ProbabilityTable:
     """The announced product preparations; a device showing ``0`` uses distribution 0, ``+`` uses 1."""
-    return _products([ket("0"), ket("+")], _PBR_LABELS, ZERO_PAIRING)
+    return _products([ket("0"), ket("+")], _PBR_LABELS)
 
 
 @dataclass(frozen=True)
@@ -274,9 +257,9 @@ def theta_table(pair: ThetaPair, zero_threshold: float = EPS_PROB) -> Probabilit
     basis, the one measurement of both scenarios.
     """
     pair = as_instance(pair, ThetaPair, "pair")
-    setup = _products([pair.psi0, pair.psi1], [f"psi{i}*psi{j}" for i in range(2) for j in range(2)])
+    table = _products([pair.psi0, pair.psi1], [f"psi{i}*psi{j}" for i in range(2) for j in range(2)])
     title = f"theta-pair products vs measurement basis (theta={pair.theta:.12g})"
-    return setup.table(setup.targets, zero_threshold, title)
+    return replace(table, zero_threshold=zero_threshold, title=title)
 
 
 def mz_preparation_state() -> np.ndarray:
@@ -299,6 +282,6 @@ def mz_joint_state() -> np.ndarray:
     return tensor(psi, psi)
 
 
-def mz_scenario() -> Scenario:
+def mz_scenario() -> ProbabilityTable:
     """The unannounced which-way-free preparation: both devices draw from one distribution."""
     return _products([mz_preparation_state()], ("Psi",))

@@ -132,6 +132,69 @@ def certified_violation_bound(joints, targets, duals) -> Fraction:
     return bound
 
 
+def exact_min_violation(joints, targets) -> Fraction:
+    """The minimal total violation V* of the statistics over every response function, in exact rationals.
+
+    Solves the elastic LP over the reached pairs c (those some joint gives
+    mass): minimize sum(s+ + s-) subject to sum_k x[k, c] = 1 for every c and
+    sum_c joint_p[c] * x[k, c] + s+[p, k] - s-[p, k] = target_p[k] for every
+    preparation p and outcome k, every variable >= 0.  A dense tableau
+    simplex over Fractions pivots by Bland's rule, which cannot cycle.  Its
+    first basis is feasible, so there is no phase 1: x[0, c] on each
+    normalization row, and s+ or s- on each statistics row by the sign of
+    its residual there.  The basis is block-triangular, so it is regular.
+    """
+    k = len(targets[0])
+    flat = [[Fraction(float(x)) for row in j for x in row] for j in joints]
+    reached = [c for c in range(len(flat[0])) if any(f[c] for f in flat)]
+    pairs, stats = len(reached), len(joints) * k
+    # Columns: x[out, c] at out * pairs + i for c = reached[i], s+ at k * pairs + r and s- at
+    # k * pairs + stats + r for statistics row r = p * k + out, then the right-hand side.
+    width = k * pairs + 2 * stats
+    tableau, basis = [], []
+    for i in range(pairs):
+        row = [Fraction(0)] * (width + 1)
+        for out in range(k):
+            row[out * pairs + i] = Fraction(1)
+        row[width] = Fraction(1)
+        tableau.append(row)
+        basis.append(i)
+    for p, target in enumerate(targets):
+        for out in range(k):
+            r = p * k + out
+            row = [Fraction(0)] * (width + 1)
+            for i, c in enumerate(reached):
+                row[out * pairs + i] = flat[p][c]
+            row[k * pairs + r], row[k * pairs + stats + r] = Fraction(1), Fraction(-1)
+            row[width] = Fraction(float(target[out]))
+            tableau.append(row)
+            residual = row[width] - (sum(row[:pairs], Fraction(0)) if out == 0 else 0)
+            basis.append(k * pairs + r if residual >= 0 else k * pairs + stats + r)
+    cost = [Fraction(0)] * (k * pairs) + [Fraction(1)] * (2 * stats)
+
+    def pivot(r, col):
+        tableau[r] = [v / tableau[r][col] for v in tableau[r]]
+        for other, row in enumerate(tableau):
+            if other != r and row[col]:
+                factor = row[col]
+                tableau[other] = [a - factor * b for a, b in zip(row, tableau[r])]
+        basis[r] = col
+
+    for r, col in enumerate(list(basis)):
+        pivot(r, col)
+    while True:
+        reduced = [cost[j] - sum(cost[b] * row[j] for b, row in zip(basis, tableau)) for j in range(width)]
+        entering = next((j for j in range(width) if reduced[j] < 0), None)
+        if entering is None:
+            return sum((cost[b] * row[width] for b, row in zip(basis, tableau)), Fraction(0))
+        # The objective is bounded below by 0, so some entry of the entering column is positive.  Bland's
+        # rule leaves by the least ratio, and among equal ratios by the least basic column.
+        ratios = [
+            (row[width] / row[entering], b, r) for r, (b, row) in enumerate(zip(basis, tableau)) if row[entering] > 0
+        ]
+        pivot(min(ratios)[2], entering)
+
+
 def witness_misses(joints, targets, table) -> list:
     """Miss of every statistics equality under the response ``table``, in exact rationals.
 

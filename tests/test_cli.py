@@ -210,8 +210,8 @@ class TestMz:
         _, out, _ = run(capsys, "--format", "json", "mz")
         table = ReportDocument.from_json(out).tables[0]
         setup = mz_scenario()
-        np.testing.assert_array_equal(table.probabilities, setup.targets)
-        assert table.row_labels == setup.labels
+        np.testing.assert_array_equal(table.probabilities, setup.probabilities)
+        assert table.row_labels == setup.row_labels
         assert table.title == "Psi vs measurement basis"
 
     def test_text_contains_verdict(self, capsys):
@@ -287,6 +287,14 @@ class TestFeasibilityCommand:
         assert code == exit_code
         if status == "feasible":  # at q = 1e-4 the LP's witness, one response row per reached pair
             assert verdict["max_residual"] <= 1e-7
+
+    @pytest.mark.parametrize(("scenario", "holds"), [("pbr", True), ("mz", False)])
+    @pytest.mark.parametrize("q", ["0", "0.3"])
+    def test_only_pbr_documents_hold_the_predicate(self, capsys, scenario, holds, q):
+        """PBR's zero pairing gives the analytic predicate; mz has no zero cell, so no predicate."""
+        _, out, _ = run(capsys, "--format", "json", "feasibility", "--scenario", scenario, "--q", q)
+        extras = ReportDocument.from_json(out).extras
+        assert ("contradiction_predicted" in extras, "agreement" in extras) == (holds, holds)
 
     @pytest.mark.parametrize(
         "argv, exit_code",

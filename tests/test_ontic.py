@@ -52,7 +52,7 @@ from pbrcheck import ontic
 from pbrcheck.ontic import _MC_BLOCK, _block_counts, _certified_bound, _validate_instance, _witness
 from pbrcheck.quantum import as_state
 from pbrcheck.report import ReportDocument
-from pbrcheck.scenarios import mz_scenario, pbr_scenario, xi_basis
+from pbrcheck.scenarios import device_pairs, mz_scenario, pbr_scenario, xi_basis
 
 import oracles
 from strategies import JSON_VALUES, distributions, probability_rows
@@ -604,7 +604,7 @@ def test_pairs_where_the_lp_solver_fails_are_infeasible(m0, m1, bound):
 
 
 def test_a_failed_solve_the_zero_cell_dual_cannot_decide_raises():
-    """At q = 1e-4 the zero-cell dual proves only 2 q**2 = 2e-8 <= EPS_LP, so no proof holds."""
+    """At q = 1e-4 the zero-cell dual proves only 2 q**2 = 2e-8 <= EPS_LP, and both solves fail, so no proof holds."""
 
     def fail(res):
         res.status, res.message = 4, "forced failure"
@@ -612,14 +612,17 @@ def test_a_failed_solve_the_zero_cell_dual_cannot_decide_raises():
     preparations, targets = pbr_instance(*overlap_pair(OnticSpace(4), 1e-4))
     with counted_linprog(fail) as calls, pytest.raises(PbrCheckError) as raised:
         feasibility(preparations, targets)
-    assert len(calls) == 1 and type(raised.value) is PbrCheckError
+    assert [kwargs["method"] for _, kwargs in calls] == ["highs", "highs-ipm"]
+    assert type(raised.value) is PbrCheckError
     assert str(raised.value) == (
-        "neither verdict is proved: LP solver failed: forced failure; the zero-cell dual proves only 2.000e-08"
+        "neither verdict is proved: LP solver failed: forced failure; the zero-cell dual proves only 2.000e-08; "
+        "interior-point LP solver failed: forced failure"
     )
 
 
 def test_an_lp_certificate_that_falls_short_leaves_the_verdict_to_the_zero_cell_dual():
-    """With its duals zeroed the LP proves nothing, and the zero-cell dual proves 0.140 on ``LP_PAIR``."""
+    """With its duals zeroed the LP proves nothing, and the zero-cell dual proves 0.140 on ``LP_PAIR``, so the
+    interior-point LP is not solved."""
 
     def zero_duals(res):
         res.eqlin.marginals[:] = 0.0
@@ -668,14 +671,60 @@ def test_an_infeasible_message_does_not_depend_on_the_solver_method(masses, monk
     assert len(answers) == 1, answers
 
 
-@pytest.mark.xfail(strict=True, raises=PbrCheckError, reason="HiGHS's rows exceed 1 within its primal tolerance")
-def test_skewed_pair_just_inside_the_tolerance_is_feasible():
-    """V* = 9.636e-8 < EPS_LP, so the pair is feasible; but the renormalized LP witness misses by
-    1.93e-7 and the certificate proves only V*, so neither verdict is proved."""
-    m0 = np.array([0.9999999886938188, 1.1306181061344677e-08])
-    m1 = np.array([8.50545002443362e-08, 0.9999999149454998])
-    preparations, targets = scenario_instance(m0, m1, pbr=True)
-    assert feasibility(preparations, targets).feasible
+#: Overlapping PBR pairs (mu0, mu1, exact V*) whose V* lies just above EPS_LP.  "random-pair-i" is pair i of
+#: the 15000-pair set drawn from ``default_rng(12345)``: n = 2 + i % 7 and alpha = (0.1, 0.4, 1)[i % 3], then mu0
+#: and mu1 from ``dirichlet([alpha] * n)`` in that order.
+NEAR_TOLERANCE_PAIRS = {
+    "skewed-pair": (
+        (0.9999999886938188, 1.1306181061344677e-08), (8.50545002443362e-08, 0.9999999149454998), 1.927213e-7
+    ),
+    "random-pair-51": (
+        (6.9696070744825e-08, 5.903666774761079e-05, 5.313230651746964e-18, 0.9999408936361817),
+        (0.9997477525051621, 3.9779312068262834e-10, 0.0002522210586811195, 2.6038363543478062e-08),
+        1.913664e-7,
+    ),
+    "random-pair-651": (
+        (0.9999998563866711, 1.436133288440751e-07), (9.27475839395887e-08, 0.999999907252416), 4.727218e-7
+    ),
+    "random-pair-2751": (
+        (0.9999999895032324, 1.0496767651365694e-08), (5.0508429614349005e-08, 0.9999999494915705), 1.220104e-7
+    ),
+    "random-pair-14295": (
+        (0.9999999152335453, 8.47438330727662e-08, 2.262155824220014e-11),
+        (2.591729895663506e-09, 0.9997601374801972, 0.0002398599280728558),
+        1.747118e-7,
+    ),
+}
+
+
+def near_tolerance_instance(name):
+    """Joints and targets of the PBR scenario on pair ``name`` of :data:`NEAR_TOLERANCE_PAIRS`."""
+    m0, m1, _ = NEAR_TOLERANCE_PAIRS[name]
+    return scenario_instance(np.array(m0), np.array(m1), pbr=True)
+
+
+@pytest.mark.parametrize("name", ["skewed-pair", "random-pair-2751", "random-pair-14295"])
+def test_pairs_just_above_the_tolerance_are_proved_infeasible(name):
+    """HiGHS's default duals prove about half of V*, and the zero-cell dual almost nothing, so the
+    interior-point LP's duals prove these pairs infeasible."""
+    preparations, targets = near_tolerance_instance(name)
+    with counted_linprog() as calls:
+        verdict = feasibility(preparations, targets)
+    assert [kwargs["method"] for _, kwargs in calls] == ["highs", "highs-ipm"]
+    assert not verdict.feasible
+    assert oracles.certified_violation_bound(preparations, targets, verdict.certificate) > EPS_LP
+
+
+@pytest.mark.parametrize("name", NEAR_TOLERANCE_PAIRS)
+def test_the_stated_interval_holds_the_exact_minimal_violation(name):
+    """``violation_bound`` is at most the exact V*, and V* at most the interval's printed upper end."""
+    preparations, targets = near_tolerance_instance(name)
+    verdict = feasibility(preparations, targets)
+    exact = oracles.exact_min_violation(preparations, targets)
+    assert float(exact) == pytest.approx(NEAR_TOLERANCE_PAIRS[name][2], rel=1e-6)
+    upper = violation_interval(verdict)[1]
+    half_digit = Fraction(5, 10**4) * Fraction(10) ** int(upper.split("e")[1])  # the upper end is printed by .3e
+    assert Fraction(verdict.violation_bound) <= exact <= Fraction(upper) + half_digit
 
 
 # --- one rule for probability rows ---
@@ -750,7 +799,7 @@ def scenario_instance(m0, m1, pbr):
     space = OnticSpace(m0.size)
     mu0, mu1 = EpistemicDistribution(space, m0), EpistemicDistribution(space, m1)
     setup, devices = (pbr_scenario(), (mu0, mu1)) if pbr else (mz_scenario(), (mixture(mu0, mu1),))
-    return [joint(a, b) for a, b in setup.device_pairs(*devices)], list(setup.targets)
+    return [joint(a, b) for a, b in device_pairs(*devices)], list(setup.probabilities)
 
 
 @st.composite
@@ -1154,7 +1203,6 @@ VALUE_TYPES = [
     ("FeasibilityVerdict", lambda: feasibility([np.array([[1.0]])], [np.array([0.5, 0.5])])),
     ("MeasurementBasis", xi_basis),
     ("ProbabilityTable", zero_outcome_table),
-    ("Scenario", pbr_scenario),
     ("ThetaPair", lambda: ThetaPair(1.0)),
 ]
 
